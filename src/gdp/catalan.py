@@ -33,10 +33,10 @@ class SignedList:
     entries: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        ents = tuple(_as_int(e) for e in self.entries)
-        for pos, e in enumerate(ents, 1):
-            if e == 0:
-                raise ValueError(f"position {pos}: zero entries are not allowed")
+        ents = tuple(map(_as_int, self.entries))
+        if 0 in ents:
+            pos = ents.index(0) + 1
+            raise ValueError(f"position {pos}: zero entries are not allowed")
         object.__setattr__(self, "entries", ents)
 
     def __len__(self) -> int:
@@ -80,6 +80,7 @@ class RunProfile:
     absolute value) of the up-runs/down-runs, ``up_runs``/``down_runs`` the
     corresponding position tuples, and ``y`` is half the number of runs (for
     a Catalan list the run count is even and the first run is positive).
+    ``cost`` is the sum of all run maxima.
     """
 
     runs: tuple[tuple[int, int, int], ...]
@@ -88,6 +89,7 @@ class RunProfile:
     betas: tuple[int, ...]
     up_runs: tuple[tuple[int, ...], ...]
     down_runs: tuple[tuple[int, ...], ...]
+    cost: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -129,29 +131,25 @@ def is_generalized_catalan(xs: SignedList) -> bool:
 
 
 def run_profile(xs: SignedList) -> RunProfile:
-    entries = tuple(xs)
-    if not entries:
+    entries = xs.entries
+    t = len(entries)
+    if t == 0:
         raise ValueError("run profile of an empty list")
-    runs = []
-    start = 1
-    sign = 1 if entries[0] > 0 else -1
-    for pos in range(2, len(entries) + 1):
-        s = 1 if entries[pos - 1] > 0 else -1
-        if s != sign:
-            runs.append((sign, start, pos - 1))
-            start, sign = pos, s
-    runs.append((sign, start, len(entries)))
-
-    alphas, betas, up_runs, down_runs = [], [], [], []
-    for sign, first, last in runs:
-        positions = tuple(range(first, last + 1))
-        peak = max(abs(entries[p - 1]) for p in positions)
-        if sign > 0:
-            alphas.append(peak)
+    runs, alphas, betas, up_runs, down_runs = [], [], [], [], []
+    first = 0  # 0-based start of the current run
+    for q in range(1, t + 1):
+        if q < t and (entries[q] > 0) == (entries[first] > 0):
+            continue
+        positions = tuple(range(first + 1, q + 1))
+        if entries[first] > 0:
+            runs.append((1, first + 1, q))
+            alphas.append(max(entries[first:q]))
             up_runs.append(positions)
         else:
-            betas.append(peak)
+            runs.append((-1, first + 1, q))
+            betas.append(-min(entries[first:q]))
             down_runs.append(positions)
+        first = q
     return RunProfile(
         runs=tuple(runs),
         y=len(runs) // 2,
@@ -159,13 +157,13 @@ def run_profile(xs: SignedList) -> RunProfile:
         betas=tuple(betas),
         up_runs=tuple(up_runs),
         down_runs=tuple(down_runs),
+        cost=sum(alphas) + sum(betas),
     )
 
 
 def cost(xs: SignedList) -> int:
     """Sum of the per-run absolute maxima over all runs."""
-    prof = run_profile(xs)
-    return sum(prof.alphas) + sum(prof.betas)
+    return run_profile(xs).cost
 
 
 def width(xs: SignedList) -> int:
@@ -192,14 +190,19 @@ def complement(positions, t: int) -> frozenset[int]:
 
 def is_valid_decomposition(xs: SignedList, positions) -> bool:
     """True iff the positions and their complement are both nonempty and both
-    carry generalized Catalan sublists."""
+    carry generalized Catalan sublists.
+
+    One pass over the list keeps the running sums of both sublists.
+    """
     t = len(xs)
     part = frozenset(positions)
-    if not part or len(part) >= t:
+    if not part or len(part) >= t or any(not (1 <= p <= t) for p in part):
         return False
-    if any(not (1 <= p <= t) for p in part):
-        return False
-    rest = complement(part, t)
-    return is_generalized_catalan(sublist(xs, part)) and is_generalized_catalan(
-        sublist(xs, rest)
-    )
+    chosen = {_as_int(p) for p in part}
+    sums = [0, 0]  # [complement, part]
+    for pos, e in enumerate(xs.entries, 1):
+        side = pos in chosen
+        sums[side] += e
+        if sums[side] < 0:
+            return False
+    return sums == [0, 0]

@@ -12,12 +12,13 @@ tokens starting with a minus sign):
     gdp oracle hilbert --r N --n N
 
 Exit codes: 0 decomposition/success, 1 irreducible/none, 2 undecided,
-3 invalid input, 4 search budget exceeded.
+3 invalid input (including usage errors), 4 search budget exceeded.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 
@@ -25,7 +26,6 @@ from .catalan import (
     Decomposition,
     ParseError,
     SignedList,
-    cost,
     is_generalized_catalan,
     is_valid_decomposition,
     run_profile,
@@ -75,7 +75,7 @@ def cmd_check(args, operands) -> int:
     alphas = ",".join(str(a) for a in prof.alphas)
     betas = ",".join(str(b) for b in prof.betas)
     print(
-        f"catalan=true cost={cost(xs)} width={width(xs)} y={prof.y} "
+        f"catalan=true cost={prof.cost} width={width(xs)} y={prof.y} "
         f"alphas={alphas} betas={betas}"
     )
     return EXIT_OK
@@ -192,8 +192,6 @@ def cmd_render(args, operands) -> int:
         bad = [p for p in highlight if not 1 <= p <= len(xs)]
         if bad:
             raise ParseError(f"highlight position {bad[0]} out of range")
-    if args.scale <= 0:
-        raise ParseError("scale must be positive")
     svg = render_svg(xs, highlight=highlight, scale=args.scale, axis=args.axis)
     if args.output:
         try:
@@ -213,7 +211,8 @@ def cmd_oracle_reduce(args, operands) -> int:
     if found is None:
         print("none")
         return EXIT_IRREDUCIBLE
-    assert is_valid_decomposition(xs, found.part)
+    if not is_valid_decomposition(xs, found.part):
+        raise RuntimeError(f"internal error: part {list(found.positions)} is invalid")
     print(f"part={_positions_text(found.part)}")
     return EXIT_OK
 
@@ -226,8 +225,33 @@ def cmd_oracle_hilbert(args, operands) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as ParseError (exit code 3), not SystemExit(2):
+    2 is the code for an undecided list."""
+
+    def error(self, message):
+        raise ParseError(f"{self.prog}: {message}")
+
+
+def _positive(kind):
+    """argparse type: a number of the given kind, above zero and finite."""
+
+    def convert(text):
+        try:
+            value = kind(text)
+            if 0 < value < math.inf:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(
+            f"expected a positive {kind.__name__}, got {text!r}"
+        )
+
+    return convert
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gdp",
         description="Decide and construct decompositions of generalized Dyck "
         "paths and Kostka pairs.",
@@ -238,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("reduce", help="decompose a generalized Catalan list")
-    p.add_argument("--limit", type=int, default=DEFAULT_SEARCH_LIMIT,
+    p.add_argument("--limit", type=_positive(int), default=DEFAULT_SEARCH_LIMIT,
                    help="width limit for the exhaustive fallback")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=cmd_reduce)
@@ -253,7 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("render", help="draw the path as an SVG document")
     p.add_argument("--highlight", default="", help="positions to color, e.g. 1,5,10")
-    p.add_argument("--scale", type=float, default=10.0, help="pixels per unit")
+    p.add_argument("--scale", type=_positive(float), default=10.0,
+                   help="pixels per unit")
     p.add_argument("--axis", action="store_true", help="draw axis lines")
     p.add_argument("-o", "--output", default="", help="output file (default stdout)")
     p.set_defaults(func=cmd_render)
@@ -264,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=cmd_oracle_reduce)
     q = osub.add_parser("hilbert", help="enumerate irreducible pairs")
     q.add_argument("--r", type=int, required=True, help="row bound (at most 4)")
-    q.add_argument("--n", type=int, required=True, help="size bound")
+    q.add_argument("--n", type=_positive(int), required=True, help="size bound")
     q.set_defaults(func=cmd_oracle_hilbert)
 
     return parser
@@ -272,9 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args, operands = parser.parse_known_args(argv)
     try:
+        args, operands = build_parser().parse_known_args(argv)
         return args.func(args, operands)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

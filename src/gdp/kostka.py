@@ -248,22 +248,24 @@ def common_reduce(
         # nonempty column subset.
         return KostkaIrreducible(None, None, kp.lam.rectangle(), kp.mu.rectangle())
     vec = column_vector(kp)
-    for j, v in enumerate(vec, 1):
-        if v == 0:
-            split = ColumnSplit(frozenset({j}))
-            assert verify_column_split(kp, split.columns)
-            return split
-    outcome = reduce(SignedList(vec), search_limit)
-    if isinstance(outcome, Decomposition):
-        split = ColumnSplit(outcome.part)  # zero-free: positions are columns
-        assert verify_column_split(kp, split.columns)
-        return split
-    if isinstance(outcome, Irreducible):
-        return KostkaIrreducible(
-            outcome.alpha1, outcome.beta1, kp.lam.rectangle(), kp.mu.rectangle()
-        )
-    from .oracle import BudgetExceededError
+    zero = next((j for j, v in enumerate(vec, 1) if v == 0), None)
+    if zero is not None:
+        columns = frozenset({zero})
+    else:
+        outcome = reduce(SignedList(vec), search_limit)
+        if isinstance(outcome, Irreducible):
+            return KostkaIrreducible(
+                outcome.alpha1, outcome.beta1, kp.lam.rectangle(), kp.mu.rectangle()
+            )
+        if not isinstance(outcome, Decomposition):
+            from .oracle import BudgetExceededError
 
-    raise BudgetExceededError(
-        f"column vector width {n} exceeds the search limit {search_limit}"
-    )
+            raise BudgetExceededError(
+                f"column vector width {n} exceeds the search limit {search_limit}"
+            )
+        columns = outcome.part  # zero-free: positions are columns
+    if not verify_column_split(kp, columns):
+        raise RuntimeError(
+            f"internal error: columns {sorted(columns)} do not split {kp.format()}"
+        )
+    return ColumnSplit(columns)

@@ -157,10 +157,9 @@ def kostka_reducible_bruteforce(kp: KostkaPair, budget: SearchBudget | None = No
     return None
 
 
-def _partitions_of(n, max_len, max_part=None):
-    """All partitions of n with at most max_len parts, as tuples."""
-    if max_part is None:
-        max_part = n
+def partitions_of(n, max_len):
+    """All partitions of n with at most max_len parts, as tuples, in
+    decreasing lexicographic order."""
     out = []
 
     def rec(remaining, bound, length, acc):
@@ -174,7 +173,7 @@ def _partitions_of(n, max_len, max_part=None):
             rec(remaining - v, v, length + 1, acc)
             acc.pop()
 
-    rec(n, max_part, 0, [])
+    rec(n, n, 0, [])
     return out
 
 
@@ -195,7 +194,7 @@ def enumerate_hilbert_basis(
         )
     basis = []
     for n in range(1, n_max + 1):
-        shapes = [Partition(p) for p in _partitions_of(n, r)]
+        shapes = [Partition(p) for p in partitions_of(n, r)]
         for lam in shapes:
             for mu in shapes:
                 if not dominates(lam, mu):

@@ -23,23 +23,28 @@ first one starts at 0).  Up-phases tile [t]; down-phases tile {0} + [t-1].
 Counting negative steps per up-phase (u_i) and positive follow-ups per
 down-phase (d_j) gives u_1 + ... + u_y + d_1 + ... + d_y = t, which forces a
 phase to overflow its run maximum whenever cost < width.
+
+Each public decider validates its input and builds the run profile once,
+then passes both to one private path per regime.  Every decomposition is
+checked before it is returned, by code that also runs under ``python -O``;
+a failed check raises RuntimeError.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Union
 
 from .catalan import (
     Decomposition,
+    RunProfile,
     SignedList,
-    cost,
     is_generalized_catalan,
     is_valid_decomposition,
     run_profile,
-    width,
 )
-from .staircase import GreedyPermutation, build_pi, build_sigma
+from .staircase import GreedyPermutation, _greedy_pi, build_sigma
 
 DEFAULT_SEARCH_LIMIT = 24
 
@@ -87,99 +92,44 @@ class PhaseProfile:
     d_counts: tuple[int, ...]
 
 
-def _phase_invariants_ok(xs, p, prof, profile) -> bool:
-    """Structural checks enforced on every phase profile in test builds."""
-    t = len(xs)
-    entries = xs.entries
-    sums = p.running_sums
-
-    def walk(h):  # running sum after h steps, h in [0, t]
-        return 0 if h == 0 else sums[h - 1]
-
-    covered = []
-    for lo, hi in profile.up_phases:
-        covered.extend(range(lo, hi + 1))
-    if covered != list(range(1, t + 1)):
-        return False
-    covered = []
-    for lo, hi in profile.down_phases:
-        covered.extend(range(lo, hi + 1))
-    if covered != list(range(0, t)):
-        return False
-    if sum(profile.u_counts) + sum(profile.d_counts) != t:
-        return False
-    for i, (lo, hi) in enumerate(profile.up_phases):
-        for h in range(lo, hi + 1):
-            if entries[p.one_line[h - 1] - 1] < 0 and not 0 <= walk(h) < prof.alphas[i]:
-                return False
-    for j, (lo, hi) in enumerate(profile.down_phases):
-        for h in range(lo, hi + 1):
-            if entries[p.one_line[h] - 1] > 0 and not 0 <= walk(h) < prof.betas[j]:
-                return False
-    return True
-
-
-def phase_profile(xs: SignedList, p: GreedyPermutation) -> PhaseProfile:
-    """Compute the phase windows and counts for ``p = build_pi(xs)``."""
-    prof = run_profile(xs)
-    t = len(xs)
-    entries = xs.entries
+def phase_profile(p: GreedyPermutation, prof: RunProfile) -> PhaseProfile:
+    """Compute the phase windows and counts for ``p = build_pi(xs)``, given
+    ``prof = run_profile(xs)``."""
+    t = len(p)
     y = prof.y
-
-    up_idx = [-1] * t
-    for i, run in enumerate(prof.up_runs):
-        for pos in run:
-            up_idx[pos - 1] = i
-    down_idx = [-1] * t
-    for j, run in enumerate(prof.down_runs):
-        for pos in run:
-            down_idx[pos - 1] = j
-
-    gammas = [0] * y
-    deltas = [0] * y
+    step_of = [0] * t  # step_of[pos - 1]: the step that visits position pos
     for step, pos in enumerate(p.one_line, 1):
-        i = up_idx[pos - 1]
-        if i >= 0 and gammas[i] == 0:
-            gammas[i] = step
-        j = down_idx[pos - 1]
-        if j >= 0:
-            deltas[j] = step  # later writes win: delta is the last such step
-
+        step_of[pos - 1] = step
+    # gamma_i: first step visiting up-run i; delta_j: last step visiting down-run j
+    gammas = [min(step_of[lo - 1 : hi]) for sign, lo, hi in prof.runs if sign > 0]
+    deltas = [max(step_of[lo - 1 : hi]) for sign, lo, hi in prof.runs if sign < 0]
     up_phases = [
         (gammas[i], gammas[i + 1] - 1 if i + 1 < y else t) for i in range(y)
     ]
     down_phases = [
         (deltas[j - 1] if j > 0 else 0, deltas[j] - 1) for j in range(y)
     ]
-
-    u_counts = []
-    for lo, hi in up_phases:
-        u_counts.append(
-            sum(1 for h in range(lo, hi + 1) if entries[p.one_line[h - 1] - 1] < 0)
-        )
-    d_counts = []
-    for lo, hi in down_phases:
-        d_counts.append(
-            sum(1 for h in range(lo, hi + 1) if entries[p.one_line[h] - 1] > 0)
-        )
-
-    profile = PhaseProfile(
+    # negs[h]: negative steps among steps 1..h
+    negs = list(accumulate((e < 0 for e in p.reordered.entries), initial=0))
+    return PhaseProfile(
         gammas=tuple(gammas),
         deltas=tuple(deltas),
         up_phases=tuple(up_phases),
         down_phases=tuple(down_phases),
-        u_counts=tuple(u_counts),
-        d_counts=tuple(d_counts),
+        u_counts=tuple(negs[hi] - negs[lo - 1] for lo, hi in up_phases),
+        # positive steps among lo+1..hi+1, the follow-ups of steps lo..hi
+        d_counts=tuple(
+            hi - lo + 1 - (negs[hi + 1] - negs[lo]) for lo, hi in down_phases
+        ),
     )
-    assert _phase_invariants_ok(xs, p, prof, profile)
-    return profile
 
 
 def _lex_least_equal_pair(keyed):
     """Lexicographically least (h1, h2), h1 < h2, with equal keys.
 
-    ``keyed`` is an iterable of (h, key) with strictly increasing h.
-    Returns None when all keys are distinct.
+    ``keyed`` is an iterable of (h, key) with strictly increasing h.  Every
+    caller holds a pigeonhole argument that two keys are equal, so finding
+    none is an internal error.
     """
     first = {}
     best = None
@@ -190,6 +140,8 @@ def _lex_least_equal_pair(keyed):
                 best = cand
         else:
             first[k] = h
+    if best is None:
+        raise RuntimeError("internal error: the pigeonhole found no equal pair")
     return best
 
 
@@ -197,86 +149,99 @@ def _walk(p, h):
     return 0 if h == 0 else p.running_sums[h - 1]
 
 
-def _split_between(xs, p, h1, h2):
+def _split_between(p, h1, h2):
     """Part carried by steps h1+1..h2 of the reordering, as original positions."""
-    d = Decomposition(frozenset(p.one_line[h1:h2]))
-    assert is_valid_decomposition(xs, d.part)
-    return d
+    return Decomposition(frozenset(p.one_line[h1:h2]))
 
 
-def _overfull_phase_split(xs, p, prof, profile):
+def _overfull_phase_split(p, prof, phases):
     """Pigeonhole split from the first phase exceeding its run maximum."""
-    entries = xs.entries
-    for i, (lo, hi) in enumerate(profile.up_phases):
-        if profile.u_counts[i] > prof.alphas[i]:
-            keyed = [
-                (h, _walk(p, h))
-                for h in range(lo, hi + 1)
-                if entries[p.one_line[h - 1] - 1] < 0
-            ]
-            pair = _lex_least_equal_pair(keyed)
-            assert pair is not None, "pigeonhole must fire when u_i > alpha_i"
-            return _split_between(xs, p, *pair)
-    for j, (lo, hi) in enumerate(profile.down_phases):
-        if profile.d_counts[j] > prof.betas[j]:
-            keyed = [
-                (h, _walk(p, h))
-                for h in range(lo, hi + 1)
-                if entries[p.one_line[h] - 1] > 0
-            ]
-            pair = _lex_least_equal_pair(keyed)
-            assert pair is not None, "pigeonhole must fire when d_j > beta_j"
-            return _split_between(xs, p, *pair)
+    steps = p.reordered.entries
+    for i, (lo, hi) in enumerate(phases.up_phases):
+        if phases.u_counts[i] > prof.alphas[i]:
+            pair = _lex_least_equal_pair(
+                (h, _walk(p, h)) for h in range(lo, hi + 1) if steps[h - 1] < 0
+            )
+            return _split_between(p, *pair)
+    for j, (lo, hi) in enumerate(phases.down_phases):
+        if phases.d_counts[j] > prof.betas[j]:
+            pair = _lex_least_equal_pair(
+                (h, _walk(p, h)) for h in range(lo, hi + 1) if steps[h] > 0
+            )
+            return _split_between(p, *pair)
     return None
 
 
-def reduce_strict(xs: SignedList) -> Decomposition:
-    """Decompose a generalized Catalan list with cost < width."""
-    if not is_generalized_catalan(xs) or len(xs) == 0:
-        raise ValueError("input list is not a nonempty generalized Catalan list")
-    if cost(xs) >= width(xs):
-        raise ValueError("cost must be strictly less than width")
-    p = build_pi(xs)
-    prof = run_profile(xs)
-    profile = phase_profile(xs, p)
-    d = _overfull_phase_split(xs, p, prof, profile)
-    assert d is not None, "counting identity guarantees an overfull phase"
-    return d
+def _checked(xs, outcome):
+    """Return a decider's outcome after a check that also runs under
+    ``python -O``: anything but an irreducibility certificate must be a
+    valid decomposition."""
+    if isinstance(outcome, Irreducible):
+        return outcome
+    if outcome is None or not is_valid_decomposition(xs, outcome.part):
+        raise RuntimeError(
+            f"internal error: the decider gave {outcome} for {xs.format()}, "
+            "which is not a valid decomposition"
+        )
+    return outcome
 
 
-def reduce_equality(xs: SignedList) -> Decomposition:
-    """Decompose a generalized Catalan list with cost = width and > 1 peak."""
-    if not is_generalized_catalan(xs) or len(xs) == 0:
-        raise ValueError("input list is not a nonempty generalized Catalan list")
-    prof = run_profile(xs)
-    if cost(xs) != width(xs):
-        raise ValueError("cost must equal width")
-    if prof.y <= 1:
-        raise ValueError("the list must have more than one up-run")
-    p = build_pi(xs)
-    profile = phase_profile(xs, p)
-    d = _overfull_phase_split(xs, p, prof, profile)
+_NOT_CATALAN = "input list is not a nonempty generalized Catalan list"
+
+
+def _catalan_profile(xs, message=_NOT_CATALAN):
+    """Validate a decider's input once and analyse its runs."""
+    if len(xs) == 0 or not is_generalized_catalan(xs):
+        raise ValueError(message)
+    return run_profile(xs)
+
+
+def _strict(xs, prof):
+    """Witness for cost < width: the counting identity forces an overfull
+    phase."""
+    p = _greedy_pi(xs)
+    return _overfull_phase_split(p, prof, phase_profile(p, prof))
+
+
+def _equality(xs, prof):
+    """Witness for cost = width with more than one peak."""
+    p = _greedy_pi(xs)
+    phases = phase_profile(p, prof)
+    d = _overfull_phase_split(p, prof, phases)
     if d is not None:
         return d
     # Every phase is exactly full.  If the reordered walk returns to zero
     # inside the first up-phase, cut there; the cut is proper because the
     # first up-phase ends before step t when there is a second up-run.
-    lo, hi = profile.up_phases[0]
+    lo, hi = phases.up_phases[0]
     for h in range(lo, hi + 1):
         if _walk(p, h) == 0:
-            assert h < len(xs)
-            return _split_between(xs, p, 0, h)
+            return _split_between(p, 0, h)
     # Otherwise the u_1 = alpha_1 negative steps of the first up-phase have
     # running sums inside (0, alpha_1): one value short, so two collide.
-    entries = xs.entries
-    keyed = [
-        (h, _walk(p, h))
-        for h in range(lo, hi + 1)
-        if entries[p.one_line[h - 1] - 1] < 0
-    ]
-    pair = _lex_least_equal_pair(keyed)
-    assert pair is not None, "pigeonhole must fire when u_1 = alpha_1 and no zero"
-    return _split_between(xs, p, *pair)
+    steps = p.reordered.entries
+    pair = _lex_least_equal_pair(
+        (h, _walk(p, h)) for h in range(lo, hi + 1) if steps[h - 1] < 0
+    )
+    return _split_between(p, *pair)
+
+
+def reduce_strict(xs: SignedList) -> Decomposition:
+    """Decompose a generalized Catalan list with cost < width."""
+    prof = _catalan_profile(xs)
+    if prof.cost >= len(xs):
+        raise ValueError("cost must be strictly less than width")
+    return _checked(xs, _strict(xs, prof))
+
+
+def reduce_equality(xs: SignedList) -> Decomposition:
+    """Decompose a generalized Catalan list with cost = width and > 1 peak."""
+    prof = _catalan_profile(xs)
+    if prof.cost != len(xs):
+        raise ValueError("cost must equal width")
+    if prof.y <= 1:
+        raise ValueError("the list must have more than one up-run")
+    return _checked(xs, _equality(xs, prof))
 
 
 def _y1_zero_multisets(ups, downs):
@@ -297,9 +262,8 @@ def _y1_zero_multisets(ups, downs):
             chosen = [arranged.entries[pos - 1] for pos in sig.one_line[:q]]
             break
     if chosen is None:
-        pair = _lex_least_equal_pair((q, sums[q - 1]) for q in range(1, t))
-        assert pair is not None, "t-1 sums over t-2 possible values must collide"
-        q1, q2 = pair
+        # t-1 sums over t-2 possible values must collide.
+        q1, q2 = _lex_least_equal_pair((q, sums[q - 1]) for q in range(1, t))
         chosen = [arranged.entries[pos - 1] for pos in sig.one_line[q1:q2]]
     return [v for v in chosen if v > 0], [v for v in chosen if v < 0]
 
@@ -314,25 +278,12 @@ def _leftmost_positions(xs, values):
         if need.get(e, 0) > 0:
             need[e] -= 1
             part.add(pos)
-    assert all(c == 0 for c in need.values()), "values must occur in the list"
     return frozenset(part)
 
 
-def reduce_y1(xs: SignedList) -> ReduceOutcome:
-    """Decide a generalized Catalan list with cost = width and a single peak.
-
-    Any sublist of a single-peak list keeps all positives before all
-    negatives, so being generalized Catalan is the same as having zero sum;
-    decompositions are therefore value multisets and position choices inside
-    each run are free (leftmost occurrences are used).
-    """
-    if not is_generalized_catalan(xs) or len(xs) == 0:
-        raise ValueError("input list is not a nonempty generalized Catalan list")
-    prof = run_profile(xs)
-    if cost(xs) != width(xs):
-        raise ValueError("cost must equal width")
-    if prof.y != 1:
-        raise ValueError("the list must have exactly one up-run")
+def _single_peak(xs, prof):
+    """Witness or certificate for cost = width with one peak (see
+    :func:`reduce_y1`)."""
     entries = xs.entries
     ups = [entries[pos - 1] for pos in prof.up_runs[0]]
     downs = [entries[pos - 1] for pos in prof.down_runs[0]]
@@ -357,9 +308,23 @@ def reduce_y1(xs: SignedList) -> ReduceOutcome:
         pos_vals = [alpha] * (beta // g)
         neg_vals = [-beta] * (alpha // g)
 
-    d = Decomposition(_leftmost_positions(xs, pos_vals + neg_vals))
-    assert is_valid_decomposition(xs, d.part)
-    return d
+    return Decomposition(_leftmost_positions(xs, pos_vals + neg_vals))
+
+
+def reduce_y1(xs: SignedList) -> ReduceOutcome:
+    """Decide a generalized Catalan list with cost = width and a single peak.
+
+    Any sublist of a single-peak list keeps all positives before all
+    negatives, so being generalized Catalan is the same as having zero sum;
+    decompositions are therefore value multisets and position choices inside
+    each run are free (leftmost occurrences are used).
+    """
+    prof = _catalan_profile(xs)
+    if prof.cost != len(xs):
+        raise ValueError("cost must equal width")
+    if prof.y != 1:
+        raise ValueError("the list must have exactly one up-run")
+    return _checked(xs, _single_peak(xs, prof))
 
 
 def reduce(xs: SignedList, search_limit: int = DEFAULT_SEARCH_LIMIT) -> ReduceOutcome:
@@ -371,20 +336,19 @@ def reduce(xs: SignedList, search_limit: int = DEFAULT_SEARCH_LIMIT) -> ReduceOu
     """
     if len(xs) == 0:
         raise ValueError("cannot reduce an empty list")
-    if not is_generalized_catalan(xs):
-        raise ValueError("input list is not generalized Catalan")
-    c, w = cost(xs), width(xs)
+    prof = _catalan_profile(xs, "input list is not generalized Catalan")
+    c, w = prof.cost, len(xs)
     if c < w:
-        return reduce_strict(xs)
-    prof = run_profile(xs)
+        return _checked(xs, _strict(xs, prof))
     if c == w:
-        return reduce_equality(xs) if prof.y > 1 else reduce_y1(xs)
+        decide = _equality if prof.y > 1 else _single_peak
+        return _checked(xs, decide(xs, prof))
     if w > search_limit:
         return Undecided(width=w, limit=search_limit)
     from .oracle import SearchBudget, reducible_bruteforce
 
     found = reducible_bruteforce(xs, SearchBudget(max_width=w))
     if found is not None:
-        return found
+        return _checked(xs, found)
     n_up = sum(1 for e in xs if e > 0)
     return Irreducible(prof.alphas[0], prof.betas[0], n_up, len(xs) - n_up)

@@ -9,7 +9,7 @@ written in one-line notation:
     The reordered list is always generalized Catalan, and the reordering
     preserves relative order among positives, among negatives, and never
     moves a positive entry ahead of an earlier negative one (the three
-    order-transfer clauses checked by :func:`check_order_transfer`).
+    order-transfer clauses).
 
 ``build_sigma``
     Same greedy flavour but the branch looks at the current running sum
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .catalan import SignedList, is_generalized_catalan, sublist
+from .catalan import SignedList, is_generalized_catalan
 
 
 @dataclass(frozen=True, slots=True)
@@ -39,21 +39,6 @@ class GreedyPermutation:
 
     def __len__(self) -> int:
         return len(self.one_line)
-
-    def position(self, q: int) -> int:
-        """Original position visited at step q (1-based both ways)."""
-        return self.one_line[q - 1]
-
-    def apply(self, steps) -> frozenset[int]:
-        """Image of a set of step indices: {one_line[h] : h in steps}."""
-        return frozenset(self.one_line[h - 1] for h in steps)
-
-    def inverse(self) -> tuple[int, ...]:
-        """inv[p-1] = the step at which original position p is visited."""
-        inv = [0] * len(self.one_line)
-        for q, pos in enumerate(self.one_line, 1):
-            inv[pos - 1] = q
-        return tuple(inv)
 
     def one_line_text(self) -> str:
         return "(" + " ".join(str(p) for p in self.one_line) + ")"
@@ -75,12 +60,17 @@ def build_pi(xs: SignedList) -> GreedyPermutation:
 
     Raises ValueError unless the input is nonempty and generalized Catalan.
     """
-    entries = xs.entries
-    t = len(entries)
-    if t == 0:
+    if len(xs) == 0:
         raise ValueError("cannot reorder an empty list")
     if not is_generalized_catalan(xs):
         raise ValueError("input list is not generalized Catalan")
+    return _greedy_pi(xs)
+
+
+def _greedy_pi(xs: SignedList) -> GreedyPermutation:
+    """:func:`build_pi` on a list already known to be nonempty and Catalan."""
+    entries = xs.entries
+    t = len(entries)
     negs, poss = _signed_positions(entries)
     one_line = [1]
     running = entries[0]
@@ -135,49 +125,3 @@ def build_sigma(xs: SignedList) -> GreedyPermutation:
         sums.append(running)
     reordered = SignedList(tuple(entries[p - 1] for p in one_line))
     return GreedyPermutation(tuple(one_line), reordered, tuple(sums))
-
-
-def check_order_transfer(xs: SignedList, p: GreedyPermutation) -> bool:
-    """Check the three order-transfer clauses of the greedy reordering.
-
-    For original positions i < j the permutation must visit i before j when
-    (I) both entries are positive, (II) both are negative, or (III) the
-    earlier one is negative and the later one positive.  Intended as a test
-    predicate: it returns True for every valid greedy reordering.
-    """
-    entries = xs.entries
-    # negs_before[k] = number of negative entries among the first k positions
-    negs_before = [0] * (len(entries) + 1)
-    for k, e in enumerate(entries):
-        negs_before[k + 1] = negs_before[k] + (1 if e < 0 else 0)
-    last_pos = last_neg = 0
-    negs_seen = 0
-    for pos in p.one_line:
-        if entries[pos - 1] > 0:
-            if pos < last_pos:
-                return False  # clause I
-            last_pos = pos
-            if negs_seen < negs_before[pos - 1]:
-                return False  # clause III: an earlier negative is still unused
-        else:
-            if pos < last_neg:
-                return False  # clause II
-            last_neg = pos
-            negs_seen += 1
-    return True
-
-
-def restrict_through(xs: SignedList, p: GreedyPermutation, steps) -> frozenset[int]:
-    """Map a set of step indices with Catalan reordered sublist back to
-    original positions.
-
-    Requires the reordered list restricted to ``steps`` to be generalized
-    Catalan (ValueError otherwise); the returned original positions then
-    carry a generalized Catalan sublist of ``xs`` as well.
-    """
-    chosen = frozenset(steps)
-    if not is_generalized_catalan(sublist(p.reordered, chosen)):
-        raise ValueError(
-            "the reordered list restricted to the given steps is not generalized Catalan"
-        )
-    return p.apply(chosen)

@@ -1,4 +1,5 @@
-"""Corpus generation and fast subset kernels for the exhaustive sweeps.
+"""Corpus generation, fast subset kernels and lemma predicates for the
+exhaustive sweeps.
 
 The property suite walks every generalized Catalan list with small width and
 bounded entries.  Corpus sizes reach the half-million range, so generation
@@ -6,10 +7,18 @@ and the per-list all-subsets check run vectorised in numpy, one step at a
 time across all rows of a width; everything else calls the library
 directly.  The kernels are cross-checked against a plain recursive
 enumeration and the library's own subset enumeration in the test suite.
+
+The predicates below state the lemmas of the greedy reordering (order
+transfer, restriction transfer, the phase invariants) as checks that return
+a bool, so a sweep can count their failures under ``python -O`` as well.
 """
 from __future__ import annotations
 
 import numpy as np
+
+from gdp.catalan import is_generalized_catalan, sublist
+from gdp.kostka import KostkaPair, Partition, dominates
+from gdp.oracle import partitions_of
 
 
 def count_catalan_lists(t: int, lo: int = -3, hi: int = 3) -> int:
@@ -132,30 +141,9 @@ def restriction_transfer_sweep(entries, perms):
     return bad, total
 
 
-def partitions_of(n: int, max_len: int) -> list[tuple[int, ...]]:
-    """All partitions of n with at most max_len parts, as tuples."""
-    out = []
-
-    def rec(remaining, bound, acc):
-        if remaining == 0:
-            out.append(tuple(acc))
-            return
-        if len(acc) == max_len:
-            return
-        for v in range(min(bound, remaining), 0, -1):
-            acc.append(v)
-            rec(remaining - v, v, acc)
-            acc.pop()
-
-    rec(n, n, [])
-    return out
-
-
 def random_kostka_pairs(rng, count, max_size, max_rows, require=None):
     """Random valid pairs: draw a row bound and size, then a dominating pair
     of shapes, optionally filtered by ``require``."""
-    from gdp.kostka import KostkaPair, Partition, dominates
-
     pairs = []
     while len(pairs) < count:
         r = rng.randint(1, max_rows)
@@ -194,3 +182,80 @@ def random_catalan(t: int, rng, lo: int = -3, hi: int = 3) -> tuple[int, ...]:
         vals.append(e)
     assert s == 0
     return tuple(vals)
+
+
+def check_order_transfer(xs, p) -> bool:
+    """Check the three order-transfer clauses of the greedy reordering.
+
+    For original positions i < j the permutation must visit i before j when
+    (I) both entries are positive, (II) both are negative, or (III) the
+    earlier one is negative and the later one positive.  It returns True for
+    every valid greedy reordering.
+    """
+    entries = xs.entries
+    # negs_before[k] = number of negative entries among the first k positions
+    negs_before = [0] * (len(entries) + 1)
+    for k, e in enumerate(entries):
+        negs_before[k + 1] = negs_before[k] + (1 if e < 0 else 0)
+    last_pos = last_neg = 0
+    negs_seen = 0
+    for pos in p.one_line:
+        if entries[pos - 1] > 0:
+            if pos < last_pos:
+                return False  # clause I
+            last_pos = pos
+            if negs_seen < negs_before[pos - 1]:
+                return False  # clause III: an earlier negative is still unused
+        else:
+            if pos < last_neg:
+                return False  # clause II
+            last_neg = pos
+            negs_seen += 1
+    return True
+
+
+def restrict_through(xs, p, steps) -> frozenset[int]:
+    """Map a set of step indices with Catalan reordered sublist back to
+    original positions.
+
+    Requires the reordered list restricted to ``steps`` to be generalized
+    Catalan (ValueError otherwise); the returned original positions then
+    carry a generalized Catalan sublist of ``xs`` as well.
+    """
+    chosen = frozenset(steps)
+    if not is_generalized_catalan(sublist(p.reordered, chosen)):
+        raise ValueError(
+            "the reordered list restricted to the given steps is not generalized Catalan"
+        )
+    return frozenset(p.one_line[h - 1] for h in chosen)
+
+
+def phase_invariants_ok(xs, p, prof, phases) -> bool:
+    """Structural checks on ``phases = phase_profile(p, prof)`` for
+    ``p = build_pi(xs)`` and ``prof = run_profile(xs)``.
+
+    The up-phases tile [t] and the down-phases tile {0} + [t-1]; the counts
+    satisfy u_1 + ... + u_y + d_1 + ... + d_y = t; and inside up-phase i
+    (down-phase j) the walk after each negative step (before each positive
+    step) stays in [0, alpha_i) (in [0, beta_j)).
+    """
+    t = len(xs)
+    entries = xs.entries
+    walk = (0,) + p.running_sums  # walk[h]: running sum after h steps
+    up = [h for lo, hi in phases.up_phases for h in range(lo, hi + 1)]
+    if up != list(range(1, t + 1)):
+        return False
+    down = [h for lo, hi in phases.down_phases for h in range(lo, hi + 1)]
+    if down != list(range(0, t)):
+        return False
+    if sum(phases.u_counts) + sum(phases.d_counts) != t:
+        return False
+    for (lo, hi), alpha in zip(phases.up_phases, prof.alphas, strict=True):
+        for h in range(lo, hi + 1):
+            if entries[p.one_line[h - 1] - 1] < 0 and not 0 <= walk[h] < alpha:
+                return False
+    for (lo, hi), beta in zip(phases.down_phases, prof.betas, strict=True):
+        for h in range(lo, hi + 1):
+            if entries[p.one_line[h] - 1] > 0 and not 0 <= walk[h] < beta:
+                return False
+    return True

@@ -38,6 +38,7 @@ from gdp.oracle import (
     all_catalan_subsets,
     enumerate_hilbert_basis,
     kostka_reducible_bruteforce,
+    partitions_of,
     reducible_bruteforce,
 )
 from gdp.reducer import (
@@ -49,14 +50,16 @@ from gdp.reducer import (
     reduce_y1,
 )
 from gdp.render import path_points, render_svg
-from gdp.staircase import build_pi, check_order_transfer, restrict_through
+from gdp.staircase import build_pi
 
 from sweeps import (
     catalan_corpus,
+    check_order_transfer,
     count_catalan_lists,
-    partitions_of,
+    phase_invariants_ok,
     random_catalan,
     random_kostka_pairs,
+    restrict_through,
     restriction_transfer_sweep,
 )
 
@@ -118,11 +121,8 @@ def lemma_sweep(corpus):
                 fails["reordered_catalan"] += 1
             if not check_order_transfer(xs, p):
                 fails["order_transfer"] += 1
-            try:
-                prof = phase_profile(xs, p)
-                if sum(prof.u_counts) + sum(prof.d_counts) != t:
-                    fails["phase"] += 1
-            except AssertionError:
+            prof = run_profile(xs)
+            if not phase_invariants_ok(xs, p, prof, phase_profile(p, prof)):
                 fails["phase"] += 1
             pm[i] = one_line
         pm -= 1
@@ -265,16 +265,13 @@ def test_criterion_3_property_suite(corpus, lemma_sweep):
         entries = random_catalan(t, rng)
         xs = SignedList(entries)
         p = build_pi(xs)
+        prof = run_profile(xs)
         ok = (
             sorted(p.one_line) == list(range(1, t + 1))
             and is_generalized_catalan(p.reordered)
             and check_order_transfer(xs, p)
+            and phase_invariants_ok(xs, p, prof, phase_profile(p, prof))
         )
-        try:
-            prof = phase_profile(xs, p)
-            ok = ok and sum(prof.u_counts) + sum(prof.d_counts) == t
-        except AssertionError:
-            ok = False
         if not ok:
             random_fails += 1
         group_entries[t].append(entries)

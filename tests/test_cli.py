@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from gdp import cli
 from gdp.catalan import SignedList, is_valid_decomposition
 from gdp.kostka import KostkaPair, Partition, verify_column_split
@@ -241,6 +243,29 @@ class TestOracleCommands:
         code, _, err = run(capsys, "oracle", "hilbert", "--r", "2", "--n", "99")
         assert code == 4
         assert "budget" in err
+
+
+class TestUsageErrors:
+    # Exit code 2 means undecided, so usage errors get 3 like other bad input.
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("reduce", "--limit", "abc", "1,-1"), "--limit: expected a positive int"),
+            (("bogus",), "invalid choice: 'bogus'"),
+            (("reduce", "--limit", "0", "3,-3,1,-1"), "--limit: expected a positive int"),
+            (("reduce", "--limit", "-5", "3,-3,1,-1"), "--limit: expected a positive"),
+            (("render", "--scale", "nan", "1,-1"), "--scale: expected a positive float"),
+            (("render", "--scale", "inf", "1,-1"), "--scale: expected a positive float"),
+            (("render", "--scale", "0", "1,-1"), "--scale: expected a positive float"),
+            (("oracle", "hilbert", "--r", "2", "--n", "-3"), "--n: expected a positive"),
+            (("oracle", "hilbert", "--r", "2"), "required: --n"),
+        ],
+    )
+    def test_exit_code_and_message(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: gdp") and message in err
 
 
 class TestRoundTrips:

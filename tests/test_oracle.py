@@ -16,11 +16,12 @@ from gdp.oracle import (
     all_catalan_subsets,
     enumerate_hilbert_basis,
     kostka_reducible_bruteforce,
+    partitions_of,
     reducible_bruteforce,
 )
 from gdp.reducer import Irreducible, Undecided, reduce
 
-from sweeps import partitions_of, random_catalan
+from sweeps import random_catalan
 
 EX12 = (5, 5, 4, 4, -3, -3, -3, -3, -3, -1, 5, 5, 5, 3, -4, -4, -4, -4, -4)
 

@@ -1,7 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gdp
 from gdp.catalan import (
     Decomposition,
     SignedList,
@@ -23,7 +28,7 @@ from gdp.reducer import (
 )
 from gdp.staircase import build_pi
 
-from sweeps import random_catalan
+from sweeps import phase_invariants_ok, random_catalan
 
 EX12 = (5, 5, 4, 4, -3, -3, -3, -3, -3, -1, 5, 5, 5, 3, -4, -4, -4, -4, -4)
 
@@ -31,7 +36,7 @@ EX12 = (5, 5, 4, 4, -3, -3, -3, -3, -3, -1, 5, 5, 5, 3, -4, -4, -4, -4, -4)
 class TestPhaseProfile:
     def test_single_pair(self):
         xs = SignedList((1, -1))
-        prof = phase_profile(xs, build_pi(xs))
+        prof = phase_profile(build_pi(xs), run_profile(xs))
         assert prof.gammas == (1,)
         assert prof.deltas == (2,)
         assert prof.up_phases == ((1, 2),)
@@ -41,7 +46,7 @@ class TestPhaseProfile:
 
     def test_hand_traced_example(self):
         xs = SignedList((3, 1, -2, -2))
-        prof = phase_profile(xs, build_pi(xs))
+        prof = phase_profile(build_pi(xs), run_profile(xs))
         assert prof.gammas == (1,)
         assert prof.deltas == (4,)
         assert prof.up_phases == ((1, 4),)
@@ -52,7 +57,7 @@ class TestPhaseProfile:
 
     def test_counting_identity_on_example_list(self):
         xs = SignedList(EX12)
-        prof = phase_profile(xs, build_pi(xs))
+        prof = phase_profile(build_pi(xs), run_profile(xs))
         assert sum(prof.u_counts) + sum(prof.d_counts) == 19
 
     def test_counting_identity_on_random_lists(self):
@@ -60,31 +65,17 @@ class TestPhaseProfile:
         for _ in range(300):
             entries = random_catalan(rng.randint(2, 12), rng)
             xs = SignedList(entries)
-            prof = phase_profile(xs, build_pi(xs))
+            prof = phase_profile(build_pi(xs), run_profile(xs))
             assert sum(prof.u_counts) + sum(prof.d_counts) == len(entries)
 
     def test_phase_bounds(self):
-        # The in-phase walk bounds are asserted inside phase_profile; this
-        # re-checks them explicitly on a batch of random lists.
+        # Phase tiling, counting identity and the in-phase walk bounds.
         rng = random.Random(707)
         for _ in range(200):
-            entries = random_catalan(rng.randint(2, 12), rng)
-            xs = SignedList(entries)
+            xs = SignedList(random_catalan(rng.randint(2, 12), rng))
             p = build_pi(xs)
             rp = run_profile(xs)
-            prof = phase_profile(xs, p)
-
-            def walk(h):
-                return 0 if h == 0 else p.running_sums[h - 1]
-
-            for i, (lo, hi) in enumerate(prof.up_phases):
-                for h in range(lo, hi + 1):
-                    if entries[p.one_line[h - 1] - 1] < 0:
-                        assert 0 <= walk(h) < rp.alphas[i]
-            for j, (lo, hi) in enumerate(prof.down_phases):
-                for h in range(lo, hi + 1):
-                    if entries[p.one_line[h] - 1] > 0:
-                        assert 0 <= walk(h) < rp.betas[j]
+            assert phase_invariants_ok(xs, p, rp, phase_profile(p, rp))
 
 
 class TestReduceStrict:
@@ -308,3 +299,57 @@ class TestReduceDispatch:
         out = reduce(xs)
         assert isinstance(out, Decomposition)
         assert is_valid_decomposition(xs, out.part)
+
+
+# Under ``python -O``: with the witness checks patched to reject everything,
+# every decider and common_reduce must raise RuntimeError rather than return
+# an unchecked decomposition or column split.
+_OPTIMIZED_CHECK_SCRIPT = """
+import gdp.kostka, gdp.reducer
+from gdp import KostkaPair, Partition, SignedList
+from gdp.reducer import reduce, reduce_equality, reduce_strict, reduce_y1
+
+if __debug__:
+    raise SystemExit("not running under -O")
+
+def raises_runtime_error(call, *args):
+    try:
+        call(*args)
+    except RuntimeError as exc:
+        return type(exc) is RuntimeError
+    return False
+
+calls = [
+    (reduce, (5, 5, 4, 4, -3, -3, -3, -3, -3, -1, 5, 5, 5, 3, -4, -4, -4, -4, -4)),
+    (reduce, (1, -1, 1, -1)),
+    (reduce, (2, 2, -2, -2)),
+    (reduce, (3, -3, 3, -3, 1, -1)),  # cost > width: found by brute force
+    (reduce_strict, (2, 1, -1, -1, -1)),
+    (reduce_equality, (1, -1, 1, -1)),
+    (reduce_y1, (2, 1, -1, -2)),
+]
+valid = gdp.reducer.is_valid_decomposition
+gdp.reducer.is_valid_decomposition = lambda xs, positions: False
+bad = [f.__name__ for f, e in calls if not raises_runtime_error(f, SignedList(e))]
+gdp.reducer.is_valid_decomposition = valid
+
+gdp.kostka.verify_column_split = lambda kp, columns: False
+for lam, mu in (((5, 3, 1), (3, 3, 2, 1)), ((2, 2), (2, 2))):  # reducer, zero column
+    pair = KostkaPair(Partition(lam), Partition(mu))
+    if not raises_runtime_error(gdp.kostka.common_reduce, pair):
+        bad.append(f"common_reduce {pair.format()}")
+print(bad)
+"""
+
+
+def test_witness_checks_run_under_optimize():
+    src = str(Path(gdp.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _OPTIMIZED_CHECK_SCRIPT],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -4,14 +4,9 @@ import pytest
 
 from gdp.catalan import SignedList, is_generalized_catalan, sublist
 from gdp.oracle import all_catalan_subsets
-from gdp.staircase import (
-    build_pi,
-    build_sigma,
-    check_order_transfer,
-    restrict_through,
-)
+from gdp.staircase import build_pi, build_sigma
 
-from sweeps import random_catalan
+from sweeps import check_order_transfer, random_catalan, restrict_through
 
 EX12 = (5, 5, 4, 4, -3, -3, -3, -3, -3, -1, 5, 5, 5, 3, -4, -4, -4, -4, -4)
 EX12_ONE_LINE = (1, 5, 2, 6, 7, 3, 8, 4, 9, 10, 11, 15, 12, 16, 17, 13, 18, 14, 19)
