@@ -23,6 +23,10 @@ class ParseError(ValueError):
     """Malformed text input for a list or partition."""
 
 
+class BudgetExceededError(RuntimeError):
+    """A search was asked to exceed its budget."""
+
+
 _EMPTY_TOKEN = re.compile(r"(?:^|,)\s*(?:,|$)")
 
 

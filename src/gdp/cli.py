@@ -4,15 +4,17 @@ Grammar (flags must come before the list/pair operand, which may contain
 tokens starting with a minus sign):
 
     gdp check <list>
-    gdp reduce [--limit N] [--json] <list>
+    gdp reduce [--json] <list>
     gdp pi <list>
     gdp kostka [--r N] [--json] <lambda> / <mu>
     gdp render [--highlight p1,p2,...] [--scale S] [--axis] [-o FILE] <list>
     gdp oracle reduce <list>
     gdp oracle hilbert --r N --n N
 
-Exit codes: 0 decomposition/success, 1 irreducible/none, 2 undecided,
-3 invalid input (including usage errors), 4 search budget exceeded.
+Exit codes: 0 decomposition/success, 1 irreducible/none, 3 invalid input
+(including usage errors), 4 search budget exceeded (an oracle budget, or a
+list whose cost > width search table would be too large), 5 internal error
+(a witness failed its check).  Code 2 is not used.
 """
 from __future__ import annotations
 
@@ -23,6 +25,7 @@ import re
 import sys
 
 from .catalan import (
+    BudgetExceededError,
     Decomposition,
     ParseError,
     SignedList,
@@ -38,16 +41,16 @@ from .kostka import (
     common_reduce,
     split_pair,
 )
-from .oracle import BudgetExceededError, enumerate_hilbert_basis, reducible_bruteforce
-from .reducer import DEFAULT_SEARCH_LIMIT, Irreducible, reduce
+from .oracle import enumerate_hilbert_basis, reducible_bruteforce
+from .reducer import Irreducible, reduce
 from .render import render_svg
 from .staircase import build_pi
 
 EXIT_OK = 0
 EXIT_IRREDUCIBLE = 1
-EXIT_UNDECIDED = 2
 EXIT_INVALID = 3
 EXIT_BUDGET = 4
+EXIT_INTERNAL = 5
 
 _OPTION_LIKE = re.compile(r"^--?[A-Za-z]")
 
@@ -84,15 +87,13 @@ def cmd_check(args, operands) -> int:
 def _outcome_record(outcome):
     if isinstance(outcome, Decomposition):
         return {"kind": "decomposition", "part": list(outcome.positions)}, EXIT_OK
-    if isinstance(outcome, Irreducible):
-        return (
-            {"kind": "irreducible", "alpha1": outcome.alpha1, "beta1": outcome.beta1},
-            EXIT_IRREDUCIBLE,
-        )
-    return (
-        {"kind": "undecided", "width": outcome.width, "limit": outcome.limit},
-        EXIT_UNDECIDED,
-    )
+    record = {
+        "kind": "irreducible",
+        "alpha1": outcome.alpha1,
+        "beta1": outcome.beta1,
+        "basis": outcome.basis,
+    }
+    return record, EXIT_IRREDUCIBLE
 
 
 def _print_record(record, as_json) -> None:
@@ -108,11 +109,7 @@ def _print_record(record, as_json) -> None:
 
 
 def cmd_reduce(args, operands) -> int:
-    xs = SignedList.parse(_operand_text(operands))
-    if not is_generalized_catalan(xs):
-        print("error: input list is not generalized Catalan", file=sys.stderr)
-        return EXIT_INVALID
-    outcome = reduce(xs, search_limit=args.limit)
+    outcome = reduce(SignedList.parse(_operand_text(operands)))
     record, code = _outcome_record(outcome)
     _print_record(record, args.json)
     return code
@@ -226,8 +223,8 @@ def cmd_oracle_hilbert(args, operands) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports usage errors as ParseError (exit code 3), not SystemExit(2):
-    2 is the code for an undecided list."""
+    """Reports usage errors as ParseError (exit code 3, like any invalid
+    input), not as argparse's SystemExit(2)."""
 
     def error(self, message):
         raise ParseError(f"{self.prog}: {message}")
@@ -262,8 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("reduce", help="decompose a generalized Catalan list")
-    p.add_argument("--limit", type=_positive(int), default=DEFAULT_SEARCH_LIMIT,
-                   help="width limit for the exhaustive fallback")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=cmd_reduce)
 
@@ -297,8 +292,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    parser = build_parser()
     try:
-        args, operands = build_parser().parse_known_args(argv)
+        args, operands = parser.parse_known_args(argv)
+        if operands and _OPTION_LIKE.match(operands[0]):
+            parser.error(f"unrecognized option {operands[0]!r}")
         return args.func(args, operands)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -309,6 +307,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except RuntimeError as exc:
+        reason = str(exc).removeprefix("internal error: ")
+        print(f"error: internal error: {reason}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

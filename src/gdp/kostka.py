@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import index as _as_int
 
-from .catalan import Decomposition, SignedList, ParseError
-from .reducer import DEFAULT_SEARCH_LIMIT, Irreducible, reduce
+from .catalan import SignedList, ParseError
+from .reducer import Irreducible, reduce
 
 
 @dataclass(frozen=True, slots=True)
@@ -228,9 +228,7 @@ def split_pair(kp: KostkaPair, columns) -> tuple[KostkaPair, KostkaPair]:
     )
 
 
-def common_reduce(
-    kp: KostkaPair, search_limit: int = DEFAULT_SEARCH_LIMIT
-) -> ColumnSplit | KostkaIrreducible:
+def common_reduce(kp: KostkaPair) -> ColumnSplit | KostkaIrreducible:
     """Find a column split of a nonempty pair, or certify none exists.
 
     A zero column of the column vector splits on its own (the lowest such
@@ -238,7 +236,8 @@ def common_reduce(
     list whose decompositions are exactly the column splits, and the reducer
     settles it.  A split always exists when lambda_1 > length(mu), and when
     lambda_1 = length(mu) unless both partitions are rectangles with coprime
-    widths.
+    widths.  The reducer's BudgetExceededError passes through when the
+    column vector's search table would be too large.
     """
     if kp.size < 1:
         raise ValueError("the pair must have at least one cell")
@@ -252,16 +251,10 @@ def common_reduce(
     if zero is not None:
         columns = frozenset({zero})
     else:
-        outcome = reduce(SignedList(vec), search_limit)
+        outcome = reduce(SignedList(vec))
         if isinstance(outcome, Irreducible):
             return KostkaIrreducible(
                 outcome.alpha1, outcome.beta1, kp.lam.rectangle(), kp.mu.rectangle()
-            )
-        if not isinstance(outcome, Decomposition):
-            from .oracle import BudgetExceededError
-
-            raise BudgetExceededError(
-                f"column vector width {n} exceeds the search limit {search_limit}"
             )
         columns = outcome.part  # zero-free: positions are columns
     if not verify_column_split(kp, columns):

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .catalan import Decomposition, SignedList
+from .catalan import BudgetExceededError, Decomposition, SignedList
 from .kostka import KostkaPair, Partition, dominates
 
 
@@ -21,10 +21,6 @@ class SearchBudget:
     def __post_init__(self) -> None:
         if self.max_width < 1 or self.max_pair_size < 1:
             raise ValueError("budget bounds must be positive")
-
-
-class BudgetExceededError(RuntimeError):
-    """An exhaustive search was asked to exceed its budget."""
 
 
 def reducible_bruteforce(xs: SignedList, budget: SearchBudget | None = None):

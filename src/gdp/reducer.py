@@ -13,8 +13,9 @@ per-run maxima and ``width`` for the length, the decision procedure is:
     maximum or the negated down-run maximum and those maxima are coprime;
     the constructive search sorts the up-run, walks it greedily and pigeonholes
     the running sums (:func:`reduce_y1`).
-  * cost > width: no structural criterion; fall back to exhaustive search up
-    to a width limit (:func:`reduce`).
+  * cost > width: no structural criterion; a search over (position, chosen
+    prefix sum) settles it in O(t * H) for width t and largest prefix sum H
+    (:func:`reduce`).
 
 Phases: with gamma_i the first step visiting up-run i and delta_j the last
 step visiting down-run j, the i-th up-phase is [gamma_i, gamma_{i+1}) (the
@@ -37,6 +38,7 @@ from itertools import accumulate
 from typing import Union
 
 from .catalan import (
+    BudgetExceededError,
     Decomposition,
     RunProfile,
     SignedList,
@@ -46,34 +48,30 @@ from .catalan import (
 )
 from .staircase import GreedyPermutation, _greedy_pi, build_sigma
 
-DEFAULT_SEARCH_LIMIT = 24
+# The cost > width search keeps two bitsets of at most H + 1 bits for each of
+# the t positions; wider tables are refused before any is built.
+MAX_SEARCH_BITS = 1 << 26
 
 
 @dataclass(frozen=True, slots=True)
 class Irreducible:
-    """Certificate that no decomposition exists.
+    """Certificate that no decomposition exists, and its grounds.
 
-    For the single-peak equality case the certificate means: all entries are
-    either ``alpha1`` or ``-beta1`` with gcd(alpha1, beta1) = 1.  After an
-    exhaustive search the fields simply record the first-run maxima and the
-    sign counts of the input.
+    ``basis`` is ``"coprime"`` for the single-peak equality case: all entries
+    are either ``alpha1`` or ``-beta1`` with gcd(alpha1, beta1) = 1.  It is
+    ``"search"`` when the cost > width search found no decomposition; the
+    fields then simply record the first-run maxima and the sign counts of the
+    input.
     """
 
     alpha1: int
     beta1: int
     n_up: int
     n_down: int
+    basis: str
 
 
-@dataclass(frozen=True, slots=True)
-class Undecided:
-    """The exhaustive fallback was skipped because the list is too wide."""
-
-    width: int
-    limit: int
-
-
-ReduceOutcome = Union[Decomposition, Irreducible, Undecided]
+ReduceOutcome = Union[Decomposition, Irreducible]
 
 
 @dataclass(frozen=True, slots=True)
@@ -304,7 +302,7 @@ def _single_peak(xs, prof):
         # beta positive and alpha negative entries.
         g = math.gcd(alpha, beta)
         if g == 1:
-            return Irreducible(alpha, beta, len(ups), len(downs))
+            return Irreducible(alpha, beta, len(ups), len(downs), "coprime")
         pos_vals = [alpha] * (beta // g)
         neg_vals = [-beta] * (alpha // g)
 
@@ -327,12 +325,60 @@ def reduce_y1(xs: SignedList) -> ReduceOutcome:
     return _checked(xs, _single_peak(xs, prof))
 
 
-def reduce(xs: SignedList, search_limit: int = DEFAULT_SEARCH_LIMIT) -> ReduceOutcome:
+def _search(xs, prof):
+    """Lexicographically least decomposition of a list, or a certificate
+    that there is none; the same witness as ``oracle.reducible_bruteforce``.
+
+    A proper nonempty position set splits the list exactly when its running
+    sums s_q satisfy 0 <= s_q <= S_q at every q and s_t = 0, where S_q are
+    the list's prefix sums.  Going backward, bit s of ``reach[q]`` says that
+    some choice among positions q+1..t completes a part whose sum after q is
+    s, and bit s of ``reach_gap[q]`` that some such choice leaves a position
+    out.  Going forward, each position is taken whenever a completion
+    remains, and the walk stops at the first return to zero.
+    """
+    entries = xs.entries
+    t = len(entries)
+    sums = list(accumulate(entries, initial=0))
+    height = max(sums)
+    if t * (height + 1) > MAX_SEARCH_BITS:
+        raise BudgetExceededError(
+            f"the search table for width {t} and height {height} exceeds "
+            f"{MAX_SEARCH_BITS} bits"
+        )
+    reach = [0] * (t + 1)
+    reach_gap = [0] * (t + 1)
+    reach[t] = 1
+    for q in range(t, 1, -1):
+        x, done, gap = entries[q - 1], reach[q], reach_gap[q]
+        took, took_gap = (done >> x, gap >> x) if x > 0 else (done << -x, gap << -x)
+        keep = (2 << sums[q - 1]) - 1  # sums 0..S_{q-1}
+        reach[q - 1] = (took | done) & keep
+        reach_gap[q - 1] = (took_gap | done) & keep
+
+    part, s, left_out = [], 0, False
+    for q, x in enumerate(entries, 1):
+        if part and s == 0:
+            break
+        if s + x >= 0 and (reach if left_out else reach_gap)[q] >> (s + x) & 1:
+            part.append(q)
+            s += x
+        else:
+            left_out = True
+    if part:
+        return Decomposition(frozenset(part))
+    n_up = sum(1 for e in entries if e > 0)
+    return Irreducible(prof.alphas[0], prof.betas[0], n_up, t - n_up, "search")
+
+
+def reduce(xs: SignedList) -> ReduceOutcome:
     """Decide reducibility of a nonempty generalized Catalan list.
 
-    Dispatches on cost versus width; the cost > width regime has no
-    structural criterion and is settled by exhaustive search when the width
-    is at most ``search_limit``, otherwise :class:`Undecided` is returned.
+    Dispatches on cost versus width.  The cost > width regime has no
+    structural criterion and is settled by a search in O(t * H) time and
+    bits, for width t and largest prefix sum H; BudgetExceededError is
+    raised, before any table is built, when t * (H + 1) exceeds
+    ``MAX_SEARCH_BITS``.
     """
     if len(xs) == 0:
         raise ValueError("cannot reduce an empty list")
@@ -343,12 +389,4 @@ def reduce(xs: SignedList, search_limit: int = DEFAULT_SEARCH_LIMIT) -> ReduceOu
     if c == w:
         decide = _equality if prof.y > 1 else _single_peak
         return _checked(xs, decide(xs, prof))
-    if w > search_limit:
-        return Undecided(width=w, limit=search_limit)
-    from .oracle import SearchBudget, reducible_bruteforce
-
-    found = reducible_bruteforce(xs, SearchBudget(max_width=w))
-    if found is not None:
-        return _checked(xs, found)
-    n_up = sum(1 for e in xs if e > 0)
-    return Irreducible(prof.alphas[0], prof.betas[0], n_up, len(xs) - n_up)
+    return _checked(xs, _search(xs, prof))

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import gdp.reducer
 from gdp import cli
 from gdp.catalan import SignedList, is_valid_decomposition
 from gdp.kostka import KostkaPair, Partition, verify_column_split
@@ -60,25 +61,43 @@ class TestReduce:
         code, out, _ = run(capsys, "reduce", "--json", "2,-1,-1")
         assert code == 1
         record = json.loads(out)
-        assert record == {"kind": "irreducible", "alpha1": 2, "beta1": 1}
+        assert record == {
+            "kind": "irreducible",
+            "alpha1": 2,
+            "beta1": 1,
+            "basis": "coprime",
+        }
+
+    def test_search_basis(self, capsys):
+        # Not all 5 and -4: the verdict comes from the search, not from the
+        # coprime theorem.
+        code, out, _ = run(capsys, "reduce", "--json", "5,5,5,-4,-4,-4,-3")
+        assert code == 1
+        assert json.loads(out)["basis"] == "search"
 
     def test_gcd_split(self, capsys):
         code, out, _ = run(capsys, "reduce", "2,2,-2,-2")
         assert code == 0
         assert out.strip() == "kind=decomposition part=1,3"
 
-    def test_undecided(self, capsys):
+    def test_wide_list_decided(self, capsys):
         wide = ",".join(["3,-3"] * 13)
         code, out, _ = run(capsys, "reduce", wide)
-        assert code == 2
-        assert "kind=undecided" in out and "limit=24" in out
-
-    def test_limit_flag(self, capsys):
-        wide = ",".join(["3,-3"] * 13)
-        code, out, _ = run(capsys, "reduce", "--limit", "26", wide)
         assert code == 0
-        record_text = out.strip()
-        assert record_text.startswith("kind=decomposition")
+        assert out.strip() == "kind=decomposition part=1,2"
+
+    def test_search_table_guard(self, capsys):
+        code, out, err = run(capsys, "reduce", f"{10**26},1,-1,-{10**26}")
+        assert code == 4
+        assert out == "" and "search table" in err
+
+    def test_internal_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(gdp.reducer, "is_valid_decomposition", lambda xs, p: False)
+        code, out, err = run(capsys, "reduce", "1,-1,1,-1")
+        assert code == 5
+        assert out == ""
+        assert err.startswith("error: internal error: the decider gave")
+        assert "Traceback" not in err
 
     def test_non_catalan_diagnostic(self, capsys):
         code, _, err = run(capsys, "reduce", "1,1,-1")
@@ -159,6 +178,12 @@ class TestKostka:
         code, out, _ = run(capsys, "kostka", "--json", "1,1 / 1,1")
         record = json.loads(out)
         assert record["alpha1"] is None and record["mu_rect"] == [2, 1]
+
+    def test_wide_column_vector(self, capsys, wide_pair):
+        pair = f"{wide_pair.lam.format()} / {wide_pair.mu.format()}"
+        code, out, _ = run(capsys, "kostka", pair)
+        assert code == 0
+        assert out.splitlines()[0] == "kind=split columns=1,2"
 
     def test_invalid_pair(self, capsys):
         code, _, err = run(capsys, "kostka", "2,2 / 3,1")
@@ -246,14 +271,14 @@ class TestOracleCommands:
 
 
 class TestUsageErrors:
-    # Exit code 2 means undecided, so usage errors get 3 like other bad input.
+    # Usage errors get exit code 3, like other bad input.
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (("reduce", "--limit", "abc", "1,-1"), "--limit: expected a positive int"),
+            (("reduce", "--limit", "26", "3,-3,1,-1"), "unrecognized option '--limit'"),
             (("bogus",), "invalid choice: 'bogus'"),
-            (("reduce", "--limit", "0", "3,-3,1,-1"), "--limit: expected a positive int"),
-            (("reduce", "--limit", "-5", "3,-3,1,-1"), "--limit: expected a positive"),
+            (("kostka", "--r", "abc", "2 / 1,1"), "--r: invalid int value: 'abc'"),
+            (("render", "--highlight"), "--highlight: expected one argument"),
             (("render", "--scale", "nan", "1,-1"), "--scale: expected a positive float"),
             (("render", "--scale", "inf", "1,-1"), "--scale: expected a positive float"),
             (("render", "--scale", "0", "1,-1"), "--scale: expected a positive float"),

@@ -252,6 +252,11 @@ class TestCommonReduce:
             else:
                 assert not column_split_exists(kp)
 
+    def test_wide_column_vector(self, wide_pair):
+        vec = (3, -3) + (9, 9, 9, -8, -8, -8, -3) * 3 + (1, -1)
+        assert column_vector(wide_pair) == vec
+        assert common_reduce(wide_pair) == ColumnSplit(frozenset({1, 2}))
+
     def test_wide_pairs_always_split(self):
         rng = random.Random(654)
         pairs = random_kostka_pairs(

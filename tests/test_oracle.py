@@ -2,12 +2,14 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from gdp.catalan import (
     Decomposition,
     SignedList,
     is_generalized_catalan,
     is_valid_decomposition,
+    run_profile,
     sublist,
 )
 from gdp.kostka import KostkaPair, Partition, dominates
@@ -19,9 +21,9 @@ from gdp.oracle import (
     partitions_of,
     reducible_bruteforce,
 )
-from gdp.reducer import Irreducible, Undecided, reduce
+from gdp.reducer import Irreducible, reduce
 
-from sweeps import random_catalan
+from sweeps import catalan_corpus, random_catalan
 
 EX12 = (5, 5, 4, 4, -3, -3, -3, -3, -3, -1, 5, 5, 5, 3, -4, -4, -4, -4, -4)
 
@@ -213,20 +215,46 @@ class TestHilbertBasis:
         assert keys == sorted(keys)
 
 
+def _matches_bruteforce(xs):
+    """reduce agrees with the exhaustive search on the verdict and, for
+    cost > width, on the witness too: both give the lexicographically least
+    decomposition.  Returns whether the list has cost > width."""
+    out = reduce(xs)
+    found = reducible_bruteforce(xs)
+    assert isinstance(out, Irreducible) == (found is None), xs
+    wide = run_profile(xs).cost > len(xs)
+    if wide:
+        assert (out == found) if found else (out.basis == "search"), xs
+    return wide
+
+
 class TestReduceAgainstBruteforce:
     def test_equivalence_on_random_samples(self):
-        # Verdict equivalence: a returned decomposition is itself the
-        # witness; an irreducibility verdict must match the full scan.
+        # Verdicts agree with the full scan; for cost > width, so do witnesses.
         rng = random.Random(45)
-        irreducible_seen = 0
+        irreducible_seen = wide_cost = 0
         for _ in range(10_000):
             entries = random_catalan(rng.randint(2, 12), rng, lo=-4, hi=4)
             xs = SignedList(entries)
-            out = reduce(xs)
-            assert not isinstance(out, Undecided)
-            if isinstance(out, Irreducible):
-                irreducible_seen += 1
-                assert reducible_bruteforce(xs) is None
-            else:
-                assert is_valid_decomposition(xs, out.part)
-        assert irreducible_seen > 0
+            wide_cost += _matches_bruteforce(xs)
+            irreducible_seen += reducible_bruteforce(xs) is None
+        assert irreducible_seen > 0 and wide_cost > 0
+
+    def test_corpus_witnesses_match_bruteforce(self):
+        # Every Catalan list of width up to 8 with entries in [-3, 3].
+        wide_cost = 0
+        for rows in catalan_corpus(max_t=8).values():
+            for row in rows.tolist():
+                wide_cost += _matches_bruteforce(SignedList(tuple(row)))
+        assert wide_cost == 15_712
+
+    @given(st.randoms())
+    def test_wide_shuffles_split(self, rng):
+        # Any interleaving of two nonempty Catalan lists splits; widths 20-60.
+        a = random_catalan(rng.randint(2, 40), rng, -9, 9)
+        b = random_catalan(rng.randint(max(2, 20 - len(a)), 60 - len(a)), rng, -9, 9)
+        order = [0] * len(a) + [1] * len(b)
+        rng.shuffle(order)
+        sources = [iter(a), iter(b)]
+        xs = SignedList(tuple(next(sources[k]) for k in order))
+        assert isinstance(reduce(xs), Decomposition)

@@ -2,12 +2,14 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import gdp
 from gdp.catalan import (
+    BudgetExceededError,
     Decomposition,
     SignedList,
     cost,
@@ -19,7 +21,6 @@ from gdp.catalan import (
 from gdp.oracle import reducible_bruteforce
 from gdp.reducer import (
     Irreducible,
-    Undecided,
     phase_profile,
     reduce,
     reduce_equality,
@@ -152,6 +153,7 @@ class TestReduceY1:
         assert isinstance(out, Irreducible)
         assert (out.alpha1, out.beta1) == (2, 1)
         assert (out.n_up, out.n_down) == (1, 2)
+        assert out.basis == "coprime"
 
     def test_gcd_split(self):
         xs = SignedList((2, 2, -2, -2))
@@ -270,8 +272,7 @@ class TestReduceDispatch:
 
     def test_exhaustive_fallback(self):
         out = reduce(SignedList((4, 4, -3, -3, -2)))
-        assert isinstance(out, Irreducible)
-        assert (out.alpha1, out.beta1) == (4, 3)
+        assert out == Irreducible(4, 3, 2, 3, "search")
 
     def test_exhaustive_fallback_finds_witness(self):
         # cost 10 > width 6, yet reducible.
@@ -280,11 +281,26 @@ class TestReduceDispatch:
         assert isinstance(out, Decomposition)
         assert is_valid_decomposition(xs, out.part)
 
-    def test_undecided_beyond_limit(self):
-        xs = SignedList((3, -3) * 13)
-        out = reduce(xs)
-        assert out == Undecided(width=26, limit=24)
-        assert isinstance(reduce(xs, search_limit=30), Decomposition)
+    def test_wide_list_decided(self):
+        # Width 26, cost 78: there is no width cut.
+        out = reduce(SignedList((3, -3) * 13))
+        assert out == Decomposition(frozenset({1, 2}))
+
+    def test_wide_irreducible_list(self):
+        # Width 23, cost 49: a zero-sum part needs the -11, and with it the
+        # whole list, since 25 and 24 are coprime.
+        xs = SignedList((25,) * 11 + (-24,) * 11 + (-11,))
+        start = time.perf_counter()
+        assert reduce(xs) == Irreducible(25, 24, 11, 12, "search")
+        assert time.perf_counter() - start < 0.5
+
+    def test_search_table_guard(self):
+        # Width 4 times height 10**26 + 1 is refused before any table is built.
+        xs = SignedList((10**26, 1, -1, -(10**26)))
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError, match="search table"):
+            reduce(xs)
+        assert time.perf_counter() - start < 0.5
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -323,7 +339,7 @@ calls = [
     (reduce, (5, 5, 4, 4, -3, -3, -3, -3, -3, -1, 5, 5, 5, 3, -4, -4, -4, -4, -4)),
     (reduce, (1, -1, 1, -1)),
     (reduce, (2, 2, -2, -2)),
-    (reduce, (3, -3, 3, -3, 1, -1)),  # cost > width: found by brute force
+    (reduce, (3, -3, 3, -3, 1, -1)),  # cost > width: found by the search
     (reduce_strict, (2, 1, -1, -1, -1)),
     (reduce_equality, (1, -1, 1, -1)),
     (reduce_y1, (2, 1, -1, -2)),
