@@ -12,7 +12,7 @@ tokens starting with a minus sign):
     gdp oracle hilbert --r N --n N
 
 Exit codes: 0 decomposition/success, 1 irreducible/none, 3 invalid input
-(including usage errors), 4 search budget exceeded (an oracle budget, or a
+(including usage errors), 4 search budget exceeded (an oracle limit, or a
 list whose cost > width search table would be too large), 5 internal error
 (a witness failed its check).  Code 2 is not used.
 """
@@ -116,11 +116,7 @@ def cmd_reduce(args, operands) -> int:
 
 
 def cmd_pi(args, operands) -> int:
-    xs = SignedList.parse(_operand_text(operands))
-    if not is_generalized_catalan(xs):
-        print("error: input list is not generalized Catalan", file=sys.stderr)
-        return EXIT_INVALID
-    p = build_pi(xs)
+    p = build_pi(SignedList.parse(_operand_text(operands)))
     print(p.one_line_text())
     print(f"reordered={p.reordered.format()}")
     return EXIT_OK
@@ -161,6 +157,7 @@ def cmd_kostka(args, operands) -> int:
             "kind": "irreducible",
             "alpha1": outcome.alpha1,
             "beta1": outcome.beta1,
+            "basis": outcome.basis,
             "lambda_rect": list(outcome.lam_rect) if outcome.lam_rect else None,
             "mu_rect": list(outcome.mu_rect) if outcome.mu_rect else None,
         }
@@ -169,6 +166,7 @@ def cmd_kostka(args, operands) -> int:
         fields = ["kind=irreducible"]
         if outcome.alpha1 is not None:
             fields.append(f"alpha1={outcome.alpha1} beta1={outcome.beta1}")
+        fields.append(f"basis={outcome.basis}")
         if outcome.lam_rect and outcome.mu_rect:
             fields.append(
                 f"lambda_rect={outcome.lam_rect[0]}x{outcome.lam_rect[1]}"

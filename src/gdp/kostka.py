@@ -156,17 +156,21 @@ class ColumnSplit:
 
 @dataclass(frozen=True, slots=True)
 class KostkaIrreducible:
-    """Certificate that no column split exists.
+    """Certificate that no column split exists, and its grounds.
 
     When the pair satisfies lambda_1 >= length(mu) this forces both
     partitions to be rectangles with coprime widths; the rectangle fields
     are (rows, columns), or None when a partition is not a rectangle.
+    ``basis`` is ``"single-column"`` when lambda_1 = 1, and otherwise the
+    column vector's :class:`Irreducible` basis: ``"coprime"`` or
+    ``"search"``.
     """
 
     alpha1: int | None
     beta1: int | None
     lam_rect: tuple[int, int] | None
     mu_rect: tuple[int, int] | None
+    basis: str
 
 
 def column_vector(kp: KostkaPair) -> tuple[int, ...]:
@@ -195,37 +199,43 @@ def restrict_columns(p: Partition, columns) -> Partition:
     return _column_rows(p, cols)
 
 
+def _sides(kp: KostkaPair, columns) -> tuple[KostkaPair, KostkaPair] | None:
+    """The pairs that the columns and the other columns of [lambda_1] form,
+    or None when the columns are not a proper nonempty subset of [lambda_1]
+    or either side is not a valid pair.
+
+    Every column of [lambda_1] holds a cell of lambda, so neither side of a
+    proper nonempty subset is empty.
+    """
+    full = frozenset(range(1, kp.lam.first + 1))
+    cols = frozenset(_as_int(c) for c in columns)
+    if not cols or not cols < full:
+        return None
+    rest = full - cols
+    try:
+        return (
+            KostkaPair(_column_rows(kp.lam, cols), _column_rows(kp.mu, cols), kp.r),
+            KostkaPair(_column_rows(kp.lam, rest), _column_rows(kp.mu, rest), kp.r),
+        )
+    except ValueError:
+        return None
+
+
 def verify_column_split(kp: KostkaPair, columns) -> bool:
     """True iff the columns split the pair into two valid nontrivial pairs.
 
     Columns live in [lambda_1]; the narrower partition is unaffected by its
     empty columns.
     """
-    n = kp.lam.first
-    full = frozenset(range(1, n + 1))
-    cols = frozenset(_as_int(c) for c in columns)
-    if not cols or not cols < full:
-        return False
-    for side in (cols, full - cols):
-        lam_side = _column_rows(kp.lam, side)
-        mu_side = _column_rows(kp.mu, side)
-        if lam_side.size != mu_side.size or lam_side.size == 0:
-            return False
-        if not dominates(lam_side, mu_side):
-            return False
-    return True
+    return _sides(kp, columns) is not None
 
 
 def split_pair(kp: KostkaPair, columns) -> tuple[KostkaPair, KostkaPair]:
     """Both restricted pairs for a valid column split (ValueError otherwise)."""
-    if not verify_column_split(kp, columns):
+    sides = _sides(kp, columns)
+    if sides is None:
         raise ValueError("columns do not form a valid split of the pair")
-    cols = frozenset(_as_int(c) for c in columns)
-    rest = frozenset(range(1, kp.lam.first + 1)) - cols
-    return (
-        KostkaPair(_column_rows(kp.lam, cols), _column_rows(kp.mu, cols), kp.r),
-        KostkaPair(_column_rows(kp.lam, rest), _column_rows(kp.mu, rest), kp.r),
-    )
+    return sides
 
 
 def common_reduce(kp: KostkaPair) -> ColumnSplit | KostkaIrreducible:
@@ -245,7 +255,9 @@ def common_reduce(kp: KostkaPair) -> ColumnSplit | KostkaIrreducible:
     if n == 1:
         # Single-column pairs (lambda = mu, one column) have no proper
         # nonempty column subset.
-        return KostkaIrreducible(None, None, kp.lam.rectangle(), kp.mu.rectangle())
+        return KostkaIrreducible(
+            None, None, kp.lam.rectangle(), kp.mu.rectangle(), "single-column"
+        )
     vec = column_vector(kp)
     zero = next((j for j, v in enumerate(vec, 1) if v == 0), None)
     if zero is not None:
@@ -254,7 +266,11 @@ def common_reduce(kp: KostkaPair) -> ColumnSplit | KostkaIrreducible:
         outcome = reduce(SignedList(vec))
         if isinstance(outcome, Irreducible):
             return KostkaIrreducible(
-                outcome.alpha1, outcome.beta1, kp.lam.rectangle(), kp.mu.rectangle()
+                outcome.alpha1,
+                outcome.beta1,
+                kp.lam.rectangle(),
+                kp.mu.rectangle(),
+                outcome.basis,
             )
         columns = outcome.part  # zero-free: positions are columns
     if not verify_column_split(kp, columns):

@@ -1,29 +1,21 @@
 """Exhaustive ground-truth engines for small instances.
 
 Everything here trades speed for transparent correctness: plain enumerations
-in a fixed deterministic (lexicographic) order, guarded by explicit budgets.
+in a fixed deterministic (lexicographic) order, guarded by fixed limits.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .catalan import BudgetExceededError, Decomposition, SignedList
 from .kostka import KostkaPair, Partition, dominates
 
 
-@dataclass(frozen=True, slots=True)
-class SearchBudget:
-    """Hard limits for the exhaustive searches."""
-
-    max_width: int = 24
-    max_pair_size: int = 12
-
-    def __post_init__(self) -> None:
-        if self.max_width < 1 or self.max_pair_size < 1:
-            raise ValueError("budget bounds must be positive")
+# Hard limits for the exhaustive searches: the widest list searched, and the
+# largest pair size (also the largest size bound of the Hilbert basis).
+MAX_WIDTH = 24
+MAX_PAIR_SIZE = 12
 
 
-def reducible_bruteforce(xs: SignedList, budget: SearchBudget | None = None):
+def reducible_bruteforce(xs: SignedList):
     """First valid decomposition in lexicographic order of position sets,
     or None when the list is irreducible.
 
@@ -31,10 +23,9 @@ def reducible_bruteforce(xs: SignedList, budget: SearchBudget | None = None):
     with their extensions; that cannot hide a witness since such a prefix
     invalidates every superset.
     """
-    budget = budget or SearchBudget()
     t = len(xs)
-    if t > budget.max_width:
-        raise BudgetExceededError(f"width {t} exceeds the budget {budget.max_width}")
+    if t > MAX_WIDTH:
+        raise BudgetExceededError(f"width {t} exceeds the budget {MAX_WIDTH}")
     entries = xs.entries
     in_part = [False] * (t + 1)
 
@@ -67,15 +58,12 @@ def reducible_bruteforce(xs: SignedList, budget: SearchBudget | None = None):
     return Decomposition(frozenset(witness)) if witness is not None else None
 
 
-def all_catalan_subsets(
-    xs: SignedList, budget: SearchBudget | None = None
-) -> list[tuple[int, ...]]:
+def all_catalan_subsets(xs: SignedList) -> list[tuple[int, ...]]:
     """Every position set (including the empty one) whose sublist is
     generalized Catalan, in lexicographic order."""
-    budget = budget or SearchBudget()
     t = len(xs)
-    if t > budget.max_width:
-        raise BudgetExceededError(f"width {t} exceeds the budget {budget.max_width}")
+    if t > MAX_WIDTH:
+        raise BudgetExceededError(f"width {t} exceeds the budget {MAX_WIDTH}")
     entries = xs.entries
     out = [()]
 
@@ -111,17 +99,16 @@ def _subpartitions(parts):
     return out
 
 
-def kostka_reducible_bruteforce(kp: KostkaPair, budget: SearchBudget | None = None):
+def kostka_reducible_bruteforce(kp: KostkaPair):
     """First componentwise decomposition of the pair into two valid
     nontrivial pairs, or None.
 
     Unlike a column split, the two summands need not come from a common set
     of columns; this is the weaker notion used for the Hilbert basis.
     """
-    budget = budget or SearchBudget()
     n = kp.size
-    if n > budget.max_pair_size:
-        raise BudgetExceededError(f"size {n} exceeds the budget {budget.max_pair_size}")
+    if n > MAX_PAIR_SIZE:
+        raise BudgetExceededError(f"size {n} exceeds the budget {MAX_PAIR_SIZE}")
     lam, mu, r = kp.lam.parts, kp.mu.parts, kp.r
 
     mu_subs_by_size: dict[int, list[tuple[int, ...]]] = {}
@@ -173,20 +160,17 @@ def partitions_of(n, max_len):
     return out
 
 
-def enumerate_hilbert_basis(
-    r: int, n_max: int, budget: SearchBudget | None = None
-) -> list[KostkaPair]:
+def enumerate_hilbert_basis(r: int, n_max: int) -> list[KostkaPair]:
     """All componentwise-irreducible pairs in r rows with size up to n_max,
     sorted lexicographically.
 
-    Desk-scale only: r is capped at 4 and n_max by the pair-size budget.
+    Desk-scale only: r is capped at 4 and n_max at ``MAX_PAIR_SIZE``.
     """
-    budget = budget or SearchBudget()
     if r < 1 or r > 4:
         raise BudgetExceededError("row bound must be between 1 and 4")
-    if n_max > budget.max_pair_size:
+    if n_max > MAX_PAIR_SIZE:
         raise BudgetExceededError(
-            f"size bound {n_max} exceeds the budget {budget.max_pair_size}"
+            f"size bound {n_max} exceeds the budget {MAX_PAIR_SIZE}"
         )
     basis = []
     for n in range(1, n_max + 1):
@@ -196,7 +180,7 @@ def enumerate_hilbert_basis(
                 if not dominates(lam, mu):
                     continue
                 pair = KostkaPair(lam, mu, r)
-                if kostka_reducible_bruteforce(pair, budget) is None:
+                if kostka_reducible_bruteforce(pair) is None:
                     basis.append(pair)
     basis.sort(key=lambda kp: (kp.lam.parts, kp.mu.parts))
     return basis

@@ -194,15 +194,9 @@ def _catalan_profile(xs, message=_NOT_CATALAN):
     return run_profile(xs)
 
 
-def _strict(xs, prof):
-    """Witness for cost < width: the counting identity forces an overfull
-    phase."""
-    p = _greedy_pi(xs)
-    return _overfull_phase_split(p, prof, phase_profile(p, prof))
-
-
-def _equality(xs, prof):
-    """Witness for cost = width with more than one peak."""
+def _phase_split(xs, prof):
+    """Witness for cost < width, where the counting identity forces an
+    overfull phase, or for cost = width with more than one peak."""
     p = _greedy_pi(xs)
     phases = phase_profile(p, prof)
     d = _overfull_phase_split(p, prof, phases)
@@ -229,7 +223,7 @@ def reduce_strict(xs: SignedList) -> Decomposition:
     prof = _catalan_profile(xs)
     if prof.cost >= len(xs):
         raise ValueError("cost must be strictly less than width")
-    return _checked(xs, _strict(xs, prof))
+    return _checked(xs, _phase_split(xs, prof))
 
 
 def reduce_equality(xs: SignedList) -> Decomposition:
@@ -239,7 +233,7 @@ def reduce_equality(xs: SignedList) -> Decomposition:
         raise ValueError("cost must equal width")
     if prof.y <= 1:
         raise ValueError("the list must have more than one up-run")
-    return _checked(xs, _equality(xs, prof))
+    return _checked(xs, _phase_split(xs, prof))
 
 
 def _y1_zero_multisets(ups, downs):
@@ -385,8 +379,8 @@ def reduce(xs: SignedList) -> ReduceOutcome:
     prof = _catalan_profile(xs, "input list is not generalized Catalan")
     c, w = prof.cost, len(xs)
     if c < w:
-        return _checked(xs, _strict(xs, prof))
+        return _checked(xs, _phase_split(xs, prof))
     if c == w:
-        decide = _equality if prof.y > 1 else _single_peak
+        decide = _phase_split if prof.y > 1 else _single_peak
         return _checked(xs, decide(xs, prof))
     return _checked(xs, _search(xs, prof))

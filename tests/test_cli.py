@@ -131,6 +131,7 @@ class TestPi:
     def test_non_catalan(self, capsys):
         code, _, err = run(capsys, "pi", "-1,1")
         assert code == 3
+        assert err.strip() == "error: input list is not generalized Catalan"
 
 
 class TestKostka:
@@ -149,6 +150,7 @@ class TestKostka:
         record = json.loads(out)
         assert record["kind"] == "irreducible"
         assert record["alpha1"] == 1 and record["beta1"] == 1
+        assert record["basis"] == "coprime"
         assert record["lambda_rect"] == [1, 2]
         assert record["mu_rect"] == [2, 1]
 
@@ -174,10 +176,21 @@ class TestKostka:
     def test_single_column_pair(self, capsys):
         code, out, _ = run(capsys, "kostka", "1,1 / 1,1")
         assert code == 1
-        assert out.strip() == "kind=irreducible lambda_rect=2x1 mu_rect=2x1"
+        assert out.strip() == (
+            "kind=irreducible basis=single-column lambda_rect=2x1 mu_rect=2x1"
+        )
         code, out, _ = run(capsys, "kostka", "--json", "1,1 / 1,1")
         record = json.loads(out)
         assert record["alpha1"] is None and record["mu_rect"] == [2, 1]
+        assert record["basis"] == "single-column"
+
+    def test_search_basis(self, capsys):
+        code, out, _ = run(capsys, "kostka", "2,2 / 1,1,1,1")
+        assert code == 1
+        assert out.strip() == (
+            "kind=irreducible alpha1=2 beta1=2 basis=search"
+            " lambda_rect=2x2 mu_rect=4x1"
+        )
 
     def test_wide_column_vector(self, capsys, wide_pair):
         pair = f"{wide_pair.lam.format()} / {wide_pair.mu.format()}"

@@ -25,6 +25,11 @@ partitions = st.lists(st.integers(0, 9), min_size=0, max_size=6).map(
 )
 
 
+def reference_rows(p, side):
+    """Raw row counts of a partition over a column set."""
+    return [sum(1 for c in side if c <= v) for v in p.parts]
+
+
 def reference_split_ok(lam, mu, cols):
     """Independent column-split validator working on raw row counts."""
     n = lam.first
@@ -33,8 +38,8 @@ def reference_split_ok(lam, mu, cols):
     if not cols or not cols < full:
         return False
     for side in (cols, full - cols):
-        lrows = [sum(1 for c in side if c <= v) for v in lam.parts]
-        mrows = [sum(1 for c in side if c <= v) for v in mu.parts]
+        lrows = reference_rows(lam, side)
+        mrows = reference_rows(mu, side)
         if sum(lrows) != sum(mrows) or sum(lrows) == 0:
             return False
         la, mb = 0, 0
@@ -202,9 +207,18 @@ class TestVerifyColumnSplit:
             n = kp.lam.first
             for size in range(0, n + 1):
                 for cols in itertools.combinations(range(1, n + 1), size):
-                    assert verify_column_split(kp, cols) == reference_split_ok(
-                        kp.lam, kp.mu, cols
-                    )
+                    ok = reference_split_ok(kp.lam, kp.mu, cols)
+                    assert verify_column_split(kp, cols) == ok
+                    if not ok:
+                        with pytest.raises(ValueError):
+                            split_pair(kp, cols)
+                        continue
+                    rest = set(range(1, n + 1)) - set(cols)
+                    for side, pair in zip((cols, rest), split_pair(kp, cols)):
+                        assert pair.r == kp.r
+                        for got, whole in ((pair.lam, kp.lam), (pair.mu, kp.mu)):
+                            rows = reference_rows(whole, side)
+                            assert list(got.padded(whole.length)) == rows
 
 
 class TestCommonReduce:
@@ -220,6 +234,7 @@ class TestCommonReduce:
         out = common_reduce(kp)
         assert isinstance(out, KostkaIrreducible)
         assert (out.alpha1, out.beta1) == (1, 1)
+        assert out.basis == "coprime"
         assert out.lam_rect == (1, 2)
         assert out.mu_rect == (2, 1)
         assert not column_split_exists(kp)
@@ -234,6 +249,15 @@ class TestCommonReduce:
         out = common_reduce(kp)
         assert isinstance(out, KostkaIrreducible)
         assert out.lam_rect == (2, 1)
+        assert out.basis == "single-column"
+        assert not column_split_exists(kp)
+
+    def test_search_basis(self):
+        # Column vector (2, -2): cost 4 > width 2, so the search decides it,
+        # although its first-run maxima look like a coprime certificate's.
+        kp = KostkaPair(Partition((2, 2)), Partition((1, 1, 1, 1)))
+        out = common_reduce(kp)
+        assert out == KostkaIrreducible(2, 2, (2, 2), (4, 1), "search")
         assert not column_split_exists(kp)
 
     def test_rejects_empty_pair(self):
