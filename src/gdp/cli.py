@@ -12,9 +12,10 @@ tokens starting with a minus sign):
     gdp oracle hilbert --r N --n N
 
 Exit codes: 0 decomposition/success, 1 irreducible/none, 3 invalid input
-(including usage errors), 4 search budget exceeded (an oracle limit, or a
-list whose cost > width search table would be too large), 5 internal error
-(a witness failed its check).  Code 2 is not used.
+(including usage errors), 4 search budget exceeded (an oracle limit, a
+list whose cost > width search table would be too large, or a pair wider
+than kostka.MAX_COLUMNS columns), 5 internal error (a witness failed its
+check).  Code 2 is not used.
 """
 from __future__ import annotations
 
@@ -281,7 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     q = osub.add_parser("reduce", help="brute-force decomposition search")
     q.set_defaults(func=cmd_oracle_reduce)
     q = osub.add_parser("hilbert", help="enumerate irreducible pairs")
-    q.add_argument("--r", type=int, required=True, help="row bound (at most 4)")
+    q.add_argument("--r", type=_positive(int), required=True,
+                   help="row bound (1 to 4)")
     q.add_argument("--n", type=_positive(int), required=True, help="size bound")
     q.set_defaults(func=cmd_oracle_hilbert)
 

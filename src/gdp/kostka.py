@@ -12,14 +12,23 @@ nonnegative exactly when lambda dominates mu.  A zero column already splits
 the pair on its own; otherwise the column vector is a signed list whose
 decompositions are exactly the column splits, so the reducer decides the
 question constructively.
+
+Costs, for a partition with largest part lambda_1 and l rows and a column
+set C: a conjugate takes O(lambda_1 + l); restricting to C, and so checking
+a column split, takes O((|C| + l) log |C|) and does not depend on lambda_1.
+``common_reduce`` refuses pairs wider than ``MAX_COLUMNS`` columns.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from operator import index as _as_int
+from itertools import accumulate
+from operator import ge, sub, index as _as_int
 
-from .catalan import SignedList, ParseError
+from .catalan import BudgetExceededError, SignedList, ParseError
 from .reducer import Irreducible, reduce
+
+MAX_COLUMNS = 2**20  # largest lambda_1 (column vector width) common_reduce takes
 
 
 @dataclass(frozen=True, slots=True)
@@ -30,14 +39,15 @@ class Partition:
     parts: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        parts = tuple(_as_int(v) for v in self.parts)
-        for i, v in enumerate(parts):
-            if v < 0:
-                raise ValueError(f"part {i + 1} is negative")
-            if i and parts[i - 1] < v:
-                raise ValueError(f"parts must be weakly decreasing (part {i + 1})")
-        while parts and parts[-1] == 0:
-            parts = parts[:-1]
+        parts = tuple(map(_as_int, self.parts))
+        if not (all(map(ge, parts, parts[1:])) and (not parts or parts[-1] >= 0)):
+            for i, v in enumerate(parts):
+                if v < 0:
+                    raise ValueError(f"part {i + 1} is negative")
+                if i and parts[i - 1] < v:
+                    raise ValueError(f"parts must be weakly decreasing (part {i + 1})")
+        if parts and not parts[-1]:
+            parts = parts[: len(parts) - parts.count(0)]
         object.__setattr__(self, "parts", parts)
 
     @property
@@ -89,28 +99,25 @@ class Partition:
 
 def conjugate(p: Partition) -> Partition:
     """Transpose of the Young diagram: row j of the result counts the parts
-    of size at least j."""
-    if not p.parts:
-        return Partition()
-    return Partition(
-        tuple(sum(1 for v in p.parts if v >= j) for j in range(1, p.parts[0] + 1))
-    )
+    of size at least j, so the value i fills p_i - p_(i+1) rows."""
+    rows = []
+    below = 0
+    for i in range(len(p.parts), 0, -1):
+        rows += [i] * (p.parts[i - 1] - below)
+        below = p.parts[i - 1]
+    return Partition(tuple(rows))
 
 
 def dominates(a: Partition, b: Partition) -> bool:
     """True iff every prefix sum of ``a`` is at least that of ``b``.
 
-    Only defined for equal sizes (ValueError otherwise).
+    Only defined for equal sizes (ValueError otherwise).  Comparing the
+    first min(len(a), len(b)) suffices: past len(a) the sums of ``a`` are the
+    size, and at len(b) < len(a) those of ``b`` already are.
     """
     if a.size != b.size:
         raise ValueError("dominance compares partitions of equal size")
-    sa = sb = 0
-    for i in range(1, max(a.length, b.length) + 1):
-        sa += a.row(i)
-        sb += b.row(i)
-        if sa < sb:
-            return False
-    return True
+    return all(map(ge, accumulate(a.parts), accumulate(b.parts)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -183,10 +190,11 @@ def column_vector(kp: KostkaPair) -> tuple[int, ...]:
     return tuple(m - l for l, m in zip(lc, mc))
 
 
-def _column_rows(p: Partition, cols) -> Partition:
-    """Row counts over a column set; columns wider than the partition simply
-    contribute no cells."""
-    return Partition(tuple(sum(1 for c in cols if c <= v) for v in p.parts))
+def _column_rows(parts: tuple[int, ...], cols: list[int]) -> tuple[int, ...]:
+    """Row counts over a sorted column list: row i counts the chosen columns
+    of width at most p_i; columns wider than the partition simply contribute
+    no cells."""
+    return tuple(bisect_right(cols, v) for v in parts)
 
 
 def restrict_columns(p: Partition, columns) -> Partition:
@@ -196,7 +204,7 @@ def restrict_columns(p: Partition, columns) -> Partition:
     for c in cols:
         if not 1 <= c <= p.first:
             raise ValueError(f"column {c} out of range for largest part {p.first}")
-    return _column_rows(p, cols)
+    return Partition(_column_rows(p.parts, sorted(cols)))
 
 
 def _sides(kp: KostkaPair, columns) -> tuple[KostkaPair, KostkaPair] | None:
@@ -205,17 +213,20 @@ def _sides(kp: KostkaPair, columns) -> tuple[KostkaPair, KostkaPair] | None:
     or either side is not a valid pair.
 
     Every column of [lambda_1] holds a cell of lambda, so neither side of a
-    proper nonempty subset is empty.
+    proper nonempty subset is empty; as mu_1 <= lambda_1, the other columns
+    hold exactly the cells of each row that the chosen ones leave.
     """
-    full = frozenset(range(1, kp.lam.first + 1))
-    cols = frozenset(_as_int(c) for c in columns)
-    if not cols or not cols < full:
+    cols = sorted(frozenset(_as_int(c) for c in columns))
+    n = kp.lam.first
+    if not cols or len(cols) >= n or cols[0] < 1 or cols[-1] > n:
         return None
-    rest = full - cols
+    lam_in, mu_in = _column_rows(kp.lam.parts, cols), _column_rows(kp.mu.parts, cols)
+    lam_out = tuple(map(sub, kp.lam.parts, lam_in))
+    mu_out = tuple(map(sub, kp.mu.parts, mu_in))
     try:
         return (
-            KostkaPair(_column_rows(kp.lam, cols), _column_rows(kp.mu, cols), kp.r),
-            KostkaPair(_column_rows(kp.lam, rest), _column_rows(kp.mu, rest), kp.r),
+            KostkaPair(Partition(lam_in), Partition(mu_in), kp.r),
+            KostkaPair(Partition(lam_out), Partition(mu_out), kp.r),
         )
     except ValueError:
         return None
@@ -246,12 +257,15 @@ def common_reduce(kp: KostkaPair) -> ColumnSplit | KostkaIrreducible:
     list whose decompositions are exactly the column splits, and the reducer
     settles it.  A split always exists when lambda_1 > length(mu), and when
     lambda_1 = length(mu) unless both partitions are rectangles with coprime
-    widths.  The reducer's BudgetExceededError passes through when the
+    widths.  BudgetExceededError is raised for a pair wider than
+    ``MAX_COLUMNS`` columns, and the reducer's passes through when the
     column vector's search table would be too large.
     """
     if kp.size < 1:
         raise ValueError("the pair must have at least one cell")
     n = kp.lam.first
+    if n > MAX_COLUMNS:
+        raise BudgetExceededError(f"{n} columns exceed the budget {MAX_COLUMNS}")
     if n == 1:
         # Single-column pairs (lambda = mu, one column) have no proper
         # nonempty column subset.

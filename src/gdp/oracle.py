@@ -164,9 +164,12 @@ def enumerate_hilbert_basis(r: int, n_max: int) -> list[KostkaPair]:
     """All componentwise-irreducible pairs in r rows with size up to n_max,
     sorted lexicographically.
 
-    Desk-scale only: r is capped at 4 and n_max at ``MAX_PAIR_SIZE``.
+    Desk-scale only: r is capped at 4 and n_max at ``MAX_PAIR_SIZE``.  A row
+    bound below 1 is a ValueError.
     """
-    if r < 1 or r > 4:
+    if r < 1:
+        raise ValueError(f"row bound {r} is below 1")
+    if r > 4:
         raise BudgetExceededError("row bound must be between 1 and 4")
     if n_max > MAX_PAIR_SIZE:
         raise BudgetExceededError(

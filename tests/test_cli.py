@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -159,6 +160,15 @@ class TestKostka:
         assert code == 0
         assert out.splitlines()[0] == "kind=split columns=1"
 
+    def test_column_budget(self, capsys):
+        # Refused at once, before any conjugate of 10**9 columns is built.
+        start = time.perf_counter()
+        code, out, err = run(capsys, "kostka", "--json", "1000000000 / 1000000000")
+        assert time.perf_counter() - start < 1.0
+        assert code == 4
+        assert out == ""
+        assert "1000000000 columns exceed the budget" in err
+
     def test_split_sides_json(self, capsys):
         code, out, _ = run(capsys, "kostka", "--json", "4,2 / 3,3")
         assert code == 0
@@ -297,6 +307,8 @@ class TestUsageErrors:
             (("render", "--scale", "0", "1,-1"), "--scale: expected a positive float"),
             (("oracle", "hilbert", "--r", "2", "--n", "-3"), "--n: expected a positive"),
             (("oracle", "hilbert", "--r", "2"), "required: --n"),
+            (("oracle", "hilbert", "--r", "0", "--n", "2"), "--r: expected a positive int"),
+            (("oracle", "hilbert", "--r", "-2", "--n", "2"), "--r: expected a positive int"),
         ],
     )
     def test_exit_code_and_message(self, capsys, argv, message):

@@ -6,7 +6,9 @@ from hypothesis import given, strategies as st
 
 from sweeps import random_kostka_pairs
 
+from gdp.catalan import BudgetExceededError
 from gdp.kostka import (
+    MAX_COLUMNS,
     ColumnSplit,
     KostkaIrreducible,
     KostkaPair,
@@ -19,6 +21,7 @@ from gdp.kostka import (
     split_pair,
     verify_column_split,
 )
+from gdp.oracle import partitions_of
 
 partitions = st.lists(st.integers(0, 9), min_size=0, max_size=6).map(
     lambda vs: Partition(tuple(sorted(vs, reverse=True)))
@@ -117,6 +120,38 @@ class TestDominates:
     def test_rejects_unequal_sizes(self):
         with pytest.raises(ValueError):
             dominates(Partition((2,)), Partition((1,)))
+
+
+class TestPlainDefinitions:
+    # Every partition of n <= 10 in at most 6 rows, checked against the
+    # definitions rather than against other library functions.
+    SHAPES = [Partition(p) for n in range(11) for p in partitions_of(n, 6)]
+
+    def test_conjugate_counts_parts(self):
+        for p in self.SHAPES:
+            rows = [sum(1 for v in p.parts if v >= j) for j in range(1, p.first + 1)]
+            assert list(conjugate(p).parts) == rows
+
+    def test_dominates_compares_padded_prefix_sums(self):
+        # Both orders of every equal-size pair, so the first partition often
+        # has more parts than the second.
+        for a in self.SHAPES:
+            for b in self.SHAPES:
+                if a.size != b.size:
+                    continue
+                n = max(a.length, b.length)
+                pa = itertools.accumulate(a.padded(n))
+                pb = itertools.accumulate(b.padded(n))
+                assert dominates(a, b) == all(x >= y for x, y in zip(pa, pb))
+
+    def test_restrict_columns_counts_rows(self):
+        for p in self.SHAPES:
+            if p.first > 6:
+                continue
+            for size in range(p.first + 1):
+                for cols in itertools.combinations(range(1, p.first + 1), size):
+                    rows = reference_rows(p, cols)
+                    assert list(restrict_columns(p, cols).padded(p.length)) == rows
 
 
 class TestKostkaPair:
@@ -280,6 +315,16 @@ class TestCommonReduce:
         vec = (3, -3) + (9, 9, 9, -8, -8, -8, -3) * 3 + (1, -1)
         assert column_vector(wide_pair) == vec
         assert common_reduce(wide_pair) == ColumnSplit(frozenset({1, 2}))
+
+    def test_column_budget(self):
+        # Refused before anything of size lambda_1 is built; at the budget
+        # itself the pair is still decided.
+        for width in (MAX_COLUMNS + 1, 10**9):
+            kp = KostkaPair(Partition((width,)), Partition((width,)))
+            with pytest.raises(BudgetExceededError, match="columns exceed"):
+                common_reduce(kp)
+        kp = KostkaPair(Partition((MAX_COLUMNS,)), Partition((MAX_COLUMNS,)))
+        assert common_reduce(kp) == ColumnSplit(frozenset({1}))
 
     def test_wide_pairs_always_split(self):
         rng = random.Random(654)

@@ -209,6 +209,11 @@ class TestHilbertBasis:
         with pytest.raises(BudgetExceededError):
             enumerate_hilbert_basis(2, 99)
 
+    def test_row_bound_below_one_is_invalid(self):
+        for r in (0, -2):
+            with pytest.raises(ValueError, match="below 1"):
+                enumerate_hilbert_basis(r, 2)
+
     def test_sorted_lexicographically(self):
         basis = enumerate_hilbert_basis(3, 4)
         keys = [(kp.lam.parts, kp.mu.parts) for kp in basis]
