@@ -30,6 +30,27 @@ class BudgetExceededError(RuntimeError):
 _EMPTY_TOKEN = re.compile(r"(?:^|,)\s*(?:,|$)")
 
 
+def parse_ints(build, text: str, what: str, item: str):
+    """``build`` of the comma- or whitespace-separated integers in ``text``,
+    with no empty tokens.  ``what`` names the value and ``item`` a token in
+    messages; a ValueError from ``build`` becomes a ParseError."""
+    stripped = text.strip()
+    if not stripped:
+        raise ParseError(f"empty input: expected {what}")
+    if _EMPTY_TOKEN.search(stripped):
+        raise ParseError("empty token: two separators with nothing between them")
+    values = []
+    for pos, tok in enumerate(stripped.replace(",", " ").split(), 1):
+        try:
+            values.append(int(tok))
+        except ValueError:
+            raise ParseError(f"{item} {pos}: {tok!r} is not an integer") from None
+    try:
+        return build(tuple(values))
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
+
+
 @dataclass(frozen=True, slots=True)
 class SignedList:
     """Ordered list of nonzero integers."""
@@ -55,21 +76,7 @@ class SignedList:
     @classmethod
     def parse(cls, text: str) -> "SignedList":
         """Parse comma- or whitespace-separated signed decimal integers."""
-        stripped = text.strip()
-        if not stripped:
-            raise ParseError("empty input: expected a list of nonzero integers")
-        if _EMPTY_TOKEN.search(stripped):
-            raise ParseError("empty token: two separators with nothing between them")
-        values = []
-        for pos, tok in enumerate(stripped.replace(",", " ").split(), 1):
-            try:
-                v = int(tok)
-            except ValueError:
-                raise ParseError(f"position {pos}: {tok!r} is not an integer") from None
-            if v == 0:
-                raise ParseError(f"position {pos}: zero entries are not allowed")
-            values.append(v)
-        return cls(tuple(values))
+        return parse_ints(cls, text, "a list of nonzero integers", "position")
 
     def format(self) -> str:
         return ",".join(str(e) for e in self.entries)
@@ -132,6 +139,15 @@ def is_generalized_catalan(xs: SignedList) -> bool:
         if s < 0:
             return False
     return s == 0
+
+
+def require_catalan(xs: SignedList) -> None:
+    """Raise ValueError unless the list is nonempty and generalized Catalan,
+    the precondition of the greedy reordering and of every decider."""
+    if len(xs) == 0:
+        raise ValueError("input list is empty")
+    if not is_generalized_catalan(xs):
+        raise ValueError("input list is not generalized Catalan")
 
 
 def run_profile(xs: SignedList) -> RunProfile:

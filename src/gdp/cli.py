@@ -11,11 +11,14 @@ tokens starting with a minus sign):
     gdp oracle reduce <list>
     gdp oracle hilbert --r N --n N
 
+Lists, partitions and --highlight share one token rule (catalan.parse_ints):
+comma- or whitespace-separated integers, no empty tokens.
+
 Exit codes: 0 decomposition/success, 1 irreducible/none, 3 invalid input
-(including usage errors), 4 search budget exceeded (an oracle limit, a
-list whose cost > width search table would be too large, or a pair wider
-than kostka.MAX_COLUMNS columns), 5 internal error (a witness failed its
-check).  Code 2 is not used.
+(any ValueError, usage errors included), 4 search budget exceeded (an
+oracle limit, a list whose cost > width search table would be too large, or
+a pair wider than kostka.MAX_COLUMNS columns, refused by kostka.conjugate),
+5 internal error (a witness failed its check).  Code 2 is not used.
 """
 from __future__ import annotations
 
@@ -32,6 +35,7 @@ from .catalan import (
     SignedList,
     is_generalized_catalan,
     is_valid_decomposition,
+    parse_ints,
     run_profile,
     width,
 )
@@ -133,8 +137,7 @@ def cmd_kostka(args, operands) -> int:
     try:
         pair = KostkaPair(lam, mu, args.r)
     except ValueError as exc:
-        print(f"error: invalid pair: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        raise ParseError(f"invalid pair: {exc}") from None
     outcome = common_reduce(pair)
     if isinstance(outcome, ColumnSplit):
         left, right = split_pair(pair, outcome.columns)
@@ -181,10 +184,9 @@ def cmd_render(args, operands) -> int:
     xs = SignedList.parse(_operand_text(operands))
     highlight = frozenset()
     if args.highlight:
-        try:
-            highlight = frozenset(int(tok) for tok in args.highlight.split(",") if tok)
-        except ValueError:
-            raise ParseError("highlight must be a comma-separated list of positions")
+        highlight = parse_ints(
+            frozenset, args.highlight, "highlight positions", "highlight position"
+        )
         bad = [p for p in highlight if not 1 <= p <= len(xs)]
         if bad:
             raise ParseError(f"highlight position {bad[0]} out of range")
@@ -298,9 +300,6 @@ def main(argv=None) -> int:
         if operands and _OPTION_LIKE.match(operands[0]):
             parser.error(f"unrecognized option {operands[0]!r}")
         return args.func(args, operands)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

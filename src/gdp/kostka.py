@@ -16,7 +16,9 @@ question constructively.
 Costs, for a partition with largest part lambda_1 and l rows and a column
 set C: a conjugate takes O(lambda_1 + l); restricting to C, and so checking
 a column split, takes O((|C| + l) log |C|) and does not depend on lambda_1.
-``common_reduce`` refuses pairs wider than ``MAX_COLUMNS`` columns.
+``conjugate``, the only step that builds data of size lambda_1, refuses
+partitions wider than ``MAX_COLUMNS`` columns.  ``Partition.parse`` reads
+text by the token rule of signed lists, ``catalan.parse_ints``.
 """
 from __future__ import annotations
 
@@ -25,10 +27,10 @@ from dataclasses import dataclass
 from itertools import accumulate
 from operator import ge, sub, index as _as_int
 
-from .catalan import BudgetExceededError, SignedList, ParseError
+from .catalan import BudgetExceededError, SignedList, parse_ints
 from .reducer import Irreducible, reduce
 
-MAX_COLUMNS = 2**20  # largest lambda_1 (column vector width) common_reduce takes
+MAX_COLUMNS = 2**20  # largest part (column vector width) conjugate takes
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,19 +81,8 @@ class Partition:
 
     @classmethod
     def parse(cls, text: str) -> "Partition":
-        stripped = text.strip()
-        if not stripped:
-            raise ParseError("empty input: expected a partition")
-        values = []
-        for pos, tok in enumerate(stripped.replace(",", " ").split(), 1):
-            try:
-                values.append(int(tok))
-            except ValueError:
-                raise ParseError(f"part {pos}: {tok!r} is not an integer") from None
-        try:
-            return cls(tuple(values))
-        except ValueError as exc:
-            raise ParseError(str(exc)) from None
+        """Parse comma- or whitespace-separated parts."""
+        return parse_ints(cls, text, "a partition", "part")
 
     def format(self) -> str:
         return ",".join(str(v) for v in self.parts) if self.parts else "0"
@@ -99,7 +90,10 @@ class Partition:
 
 def conjugate(p: Partition) -> Partition:
     """Transpose of the Young diagram: row j of the result counts the parts
-    of size at least j, so the value i fills p_i - p_(i+1) rows."""
+    of size at least j, so the value i fills p_i - p_(i+1) rows.  A largest
+    part above ``MAX_COLUMNS`` is refused before anything is built."""
+    if p.first > MAX_COLUMNS:
+        raise BudgetExceededError(f"{p.first} columns exceed the budget {MAX_COLUMNS}")
     rows = []
     below = 0
     for i in range(len(p.parts), 0, -1):
@@ -183,7 +177,8 @@ class KostkaIrreducible:
 def column_vector(kp: KostkaPair) -> tuple[int, ...]:
     """Per-column conjugate differences mu'_j - lambda'_j for j in [lambda_1].
 
-    Sums to zero; all prefix sums are nonnegative (zeros may occur)."""
+    Sums to zero; all prefix sums are nonnegative (zeros may occur).  A pair
+    wider than ``MAX_COLUMNS`` columns is refused by :func:`conjugate`."""
     n = kp.lam.first
     lc = conjugate(kp.lam).padded(n)
     mc = conjugate(kp.mu).padded(n)
@@ -257,16 +252,13 @@ def common_reduce(kp: KostkaPair) -> ColumnSplit | KostkaIrreducible:
     list whose decompositions are exactly the column splits, and the reducer
     settles it.  A split always exists when lambda_1 > length(mu), and when
     lambda_1 = length(mu) unless both partitions are rectangles with coprime
-    widths.  BudgetExceededError is raised for a pair wider than
-    ``MAX_COLUMNS`` columns, and the reducer's passes through when the
-    column vector's search table would be too large.
+    widths.  BudgetExceededError is raised, by :func:`conjugate`, for a pair
+    wider than ``MAX_COLUMNS`` columns, and passes through from the reducer
+    when the column vector's search table would be too large.
     """
     if kp.size < 1:
         raise ValueError("the pair must have at least one cell")
-    n = kp.lam.first
-    if n > MAX_COLUMNS:
-        raise BudgetExceededError(f"{n} columns exceed the budget {MAX_COLUMNS}")
-    if n == 1:
+    if kp.lam.first == 1:
         # Single-column pairs (lambda = mu, one column) have no proper
         # nonempty column subset.
         return KostkaIrreducible(

@@ -15,71 +15,62 @@ MAX_WIDTH = 24
 MAX_PAIR_SIZE = 12
 
 
-def reducible_bruteforce(xs: SignedList):
-    """First valid decomposition in lexicographic order of position sets,
-    or None when the list is irreducible.
+def _catalan_sets(xs: SignedList):
+    """Every nonempty position set whose sublist is generalized Catalan, as
+    an increasing tuple, in lexicographic order.
 
-    Subsets whose chosen prefix already dips below zero are skipped along
-    with their extensions; that cannot hide a witness since such a prefix
-    invalidates every superset.
+    Sets whose chosen prefix already dips below zero are skipped along with
+    their extensions; that cannot hide one since such a prefix invalidates
+    every superset.
     """
     t = len(xs)
     if t > MAX_WIDTH:
         raise BudgetExceededError(f"width {t} exceeds the budget {MAX_WIDTH}")
     entries = xs.entries
-    in_part = [False] * (t + 1)
 
-    def complement_ok():
-        s = 0
-        for pos in range(1, t + 1):
-            if not in_part[pos]:
-                s += entries[pos - 1]
-                if s < 0:
-                    return False
-        return s == 0
-
-    def search(start, running, chosen):
-        for nxt in range(start, t + 1):
-            s = running + entries[nxt - 1]
-            if s < 0:
-                continue
-            chosen.append(nxt)
-            in_part[nxt] = True
-            if s == 0 and len(chosen) < t and complement_ok():
-                return tuple(chosen)
-            found = search(nxt + 1, s, chosen)
-            if found is not None:
-                return found
-            in_part[nxt] = False
-            chosen.pop()
-        return None
-
-    witness = search(1, 0, [])
-    return Decomposition(frozenset(witness)) if witness is not None else None
-
-
-def all_catalan_subsets(xs: SignedList) -> list[tuple[int, ...]]:
-    """Every position set (including the empty one) whose sublist is
-    generalized Catalan, in lexicographic order."""
-    t = len(xs)
-    if t > MAX_WIDTH:
-        raise BudgetExceededError(f"width {t} exceeds the budget {MAX_WIDTH}")
-    entries = xs.entries
-    out = [()]
-
-    def search(start, running, chosen):
+    def walk(start, running, chosen):
         for nxt in range(start, t + 1):
             s = running + entries[nxt - 1]
             if s < 0:
                 continue
             chosen.append(nxt)
             if s == 0:
-                out.append(tuple(chosen))
-            search(nxt + 1, s, chosen)
+                yield tuple(chosen)
+            if nxt < t:
+                yield from walk(nxt + 1, s, chosen)
             chosen.pop()
 
-    search(1, 0, [])
-    return out
+    return walk(1, 0, [])
+
+
+def reducible_bruteforce(xs: SignedList):
+    """First valid decomposition in lexicographic order of position sets,
+    or None when the list is irreducible.  The complement is checked here,
+    so the oracle does not rest on ``catalan.is_valid_decomposition``.
+    """
+    entries = xs.entries
+    t = len(entries)
+
+    def complement_ok(part):
+        chosen = set(part)
+        s = 0
+        for pos, e in enumerate(entries, 1):
+            if pos not in chosen:
+                s += e
+                if s < 0:
+                    return False
+        return s == 0
+
+    for part in _catalan_sets(xs):
+        if len(part) < t and complement_ok(part):
+            return Decomposition(frozenset(part))
+    return None
+
+
+def all_catalan_subsets(xs: SignedList) -> list[tuple[int, ...]]:
+    """Every position set (including the empty one) whose sublist is
+    generalized Catalan, in lexicographic order."""
+    return [(), *_catalan_sets(xs)]
 
 
 def _subpartitions(parts):

@@ -42,8 +42,8 @@ from .catalan import (
     Decomposition,
     RunProfile,
     SignedList,
-    is_generalized_catalan,
     is_valid_decomposition,
+    require_catalan,
     run_profile,
 )
 from .staircase import GreedyPermutation, _greedy_pi, build_sigma
@@ -60,14 +60,11 @@ class Irreducible:
     ``basis`` is ``"coprime"`` for the single-peak equality case: all entries
     are either ``alpha1`` or ``-beta1`` with gcd(alpha1, beta1) = 1.  It is
     ``"search"`` when the cost > width search found no decomposition; the
-    fields then simply record the first-run maxima and the sign counts of the
-    input.
+    fields then simply record the first-run maxima of the input.
     """
 
     alpha1: int
     beta1: int
-    n_up: int
-    n_down: int
     basis: str
 
 
@@ -184,13 +181,9 @@ def _checked(xs, outcome):
     return outcome
 
 
-_NOT_CATALAN = "input list is not a nonempty generalized Catalan list"
-
-
-def _catalan_profile(xs, message=_NOT_CATALAN):
+def _catalan_profile(xs):
     """Validate a decider's input once and analyse its runs."""
-    if len(xs) == 0 or not is_generalized_catalan(xs):
-        raise ValueError(message)
+    require_catalan(xs)
     return run_profile(xs)
 
 
@@ -296,7 +289,7 @@ def _single_peak(xs, prof):
         # beta positive and alpha negative entries.
         g = math.gcd(alpha, beta)
         if g == 1:
-            return Irreducible(alpha, beta, len(ups), len(downs), "coprime")
+            return Irreducible(alpha, beta, "coprime")
         pos_vals = [alpha] * (beta // g)
         neg_vals = [-beta] * (alpha // g)
 
@@ -361,8 +354,7 @@ def _search(xs, prof):
             left_out = True
     if part:
         return Decomposition(frozenset(part))
-    n_up = sum(1 for e in entries if e > 0)
-    return Irreducible(prof.alphas[0], prof.betas[0], n_up, t - n_up, "search")
+    return Irreducible(prof.alphas[0], prof.betas[0], "search")
 
 
 def reduce(xs: SignedList) -> ReduceOutcome:
@@ -374,9 +366,7 @@ def reduce(xs: SignedList) -> ReduceOutcome:
     raised, before any table is built, when t * (H + 1) exceeds
     ``MAX_SEARCH_BITS``.
     """
-    if len(xs) == 0:
-        raise ValueError("cannot reduce an empty list")
-    prof = _catalan_profile(xs, "input list is not generalized Catalan")
+    prof = _catalan_profile(xs)
     c, w = prof.cost, len(xs)
     if c < w:
         return _checked(xs, _phase_split(xs, prof))

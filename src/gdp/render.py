@@ -6,6 +6,8 @@ renderer multiplies by a pixel scale and flips the y axis for SVG.
 """
 from __future__ import annotations
 
+import math
+
 from .catalan import SignedList
 
 HIGHLIGHT_COLOR = "#1f77b4"
@@ -39,17 +41,24 @@ def render_svg(
 
     Highlighted positions get a distinct stroke color from the rest; with an
     empty highlight every segment uses a single neutral color.  ``axis``
-    adds a baseline and a vertical line up to the peak.
+    adds a baseline and a vertical line up to the peak.  ValueError is
+    raised unless the drawing's width and height, which bound every
+    coordinate, are finite floats.
     """
     if scale <= 0:
         raise ValueError("scale must be positive")
     highlight = frozenset(highlight)
-    pts = path_points(xs, scale)
-    ys = [p[1] for p in pts]
-    top = max(ys + [0])
-    bottom = min(ys + [0])
-    width_px = pts[-1][0] + 2 * MARGIN
-    height_px = (top - bottom) + 2 * MARGIN
+    try:
+        pts = path_points(xs, scale)
+        ys = [p[1] for p in pts]
+        top = max(ys + [0])
+        bottom = min(ys + [0])
+        width_px = pts[-1][0] + 2 * MARGIN
+        height_px = (top - bottom) + 2 * MARGIN
+    except OverflowError:
+        width_px = height_px = math.inf
+    if not (math.isfinite(width_px) and math.isfinite(height_px)):
+        raise ValueError(f"the path is too large to draw at scale {scale:g}")
 
     def x_px(v):
         return v + MARGIN

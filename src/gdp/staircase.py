@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .catalan import SignedList, is_generalized_catalan
+from .catalan import SignedList, require_catalan
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,10 +60,7 @@ def build_pi(xs: SignedList) -> GreedyPermutation:
 
     Raises ValueError unless the input is nonempty and generalized Catalan.
     """
-    if len(xs) == 0:
-        raise ValueError("cannot reorder an empty list")
-    if not is_generalized_catalan(xs):
-        raise ValueError("input list is not generalized Catalan")
+    require_catalan(xs)
     return _greedy_pi(xs)
 
 

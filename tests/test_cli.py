@@ -214,9 +214,12 @@ class TestKostka:
         assert "invalid pair" in err
 
     def test_malformed_pair(self, capsys):
-        code, _, err = run(capsys, "kostka", "5,3,1")
-        assert code == 3
-        assert "lambda / mu" in err
+        cases = (("5,3,1", "lambda / mu"), ("2,,1 / 1,1,1", "empty token"))
+        for pair, message in cases:
+            code, out, err = run(capsys, "kostka", pair)
+            assert code == 3
+            assert out == ""
+            assert message in err
 
 
 class TestRender:
@@ -244,9 +247,27 @@ class TestRender:
         assert out.startswith("<svg") and out.rstrip().endswith("</svg>")
 
     def test_bad_highlight(self, capsys):
-        code, _, err = run(capsys, "render", "--highlight", "9", "1,-1")
+        for highlight, message in (("9", "out of range"), ("1,,2", "empty token")):
+            code, out, err = run(capsys, "render", "--highlight", highlight, "1,-1")
+            assert code == 3
+            assert out == ""
+            assert message in err
+
+    def test_huge_entries_overflow(self, capsys):
+        # 10**400 * scale does not convert to a float.
+        huge = 10**400
+        code, out, err = run(capsys, "render", f"{huge},{-huge}")
         assert code == 3
-        assert "out of range" in err
+        assert out == ""
+        assert "too large to draw" in err
+        assert "Traceback" not in err
+
+    def test_huge_scale_overflow(self, capsys):
+        # 5 * 1e308 is inf, and the way back down is inf - inf = nan.
+        code, out, err = run(capsys, "render", "--scale", "1e308", "5,-5")
+        assert code == 3
+        assert out == ""
+        assert "too large to draw" in err
 
     def test_unwritable_path(self, capsys, tmp_path):
         code, _, err = run(

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from sweeps import random_kostka_pairs
 
-from gdp.catalan import BudgetExceededError
+from gdp.catalan import BudgetExceededError, ParseError
 from gdp.kostka import (
     MAX_COLUMNS,
     ColumnSplit,
@@ -78,6 +78,9 @@ class TestPartition:
         assert Partition.parse("5,3,1").parts == (5, 3, 1)
         assert Partition.parse("2,0").parts == (2,)
         assert Partition.parse(Partition(()).format()).parts == ()
+        for text in ("2,,1", "2,1,"):
+            with pytest.raises(ParseError, match="empty token"):
+                Partition.parse(text)
 
     def test_rectangle(self):
         assert Partition((3, 3)).rectangle() == (2, 3)
@@ -321,10 +324,13 @@ class TestCommonReduce:
         # itself the pair is still decided.
         for width in (MAX_COLUMNS + 1, 10**9):
             kp = KostkaPair(Partition((width,)), Partition((width,)))
-            with pytest.raises(BudgetExceededError, match="columns exceed"):
-                common_reduce(kp)
+            for refuse in (common_reduce, column_vector, lambda kp: conjugate(kp.lam)):
+                with pytest.raises(BudgetExceededError, match="columns exceed"):
+                    refuse(kp)
         kp = KostkaPair(Partition((MAX_COLUMNS,)), Partition((MAX_COLUMNS,)))
         assert common_reduce(kp) == ColumnSplit(frozenset({1}))
+        assert column_vector(kp) == (0,) * MAX_COLUMNS
+        assert conjugate(kp.lam).parts == (1,) * MAX_COLUMNS
 
     def test_wide_pairs_always_split(self):
         rng = random.Random(654)

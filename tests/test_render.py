@@ -82,5 +82,8 @@ class TestRenderSvg:
         assert 'class="seg"' in svg
 
     def test_rejects_bad_scale(self):
-        with pytest.raises(ValueError):
-            render_svg(SignedList((1, -1)), scale=0)
+        # A scale must be positive and leave every coordinate a finite float.
+        huge = 10**400
+        for entries, scale in (((1, -1), 0), ((5, -5), 1e308), ((huge, -huge), 10)):
+            with pytest.raises(ValueError):
+                render_svg(SignedList(entries), scale=scale)
