@@ -28,12 +28,15 @@ class BudgetExceededError(RuntimeError):
 
 
 _EMPTY_TOKEN = re.compile(r"(?:^|,)\s*(?:,|$)")
+_INT_TOKEN = re.compile(r"[+-]?[0-9]+")
 
 
 def parse_ints(build, text: str, what: str, item: str):
     """``build`` of the comma- or whitespace-separated integers in ``text``,
-    with no empty tokens.  ``what`` names the value and ``item`` a token in
-    messages; a ValueError from ``build`` becomes a ParseError."""
+    with no empty tokens.  A token is ASCII decimal digits with an optional
+    sign, so ``1_0`` and non-ASCII digits are refused.  ``what`` names the
+    value and ``item`` a token in messages; a ValueError from ``build``
+    becomes a ParseError."""
     stripped = text.strip()
     if not stripped:
         raise ParseError(f"empty input: expected {what}")
@@ -42,8 +45,10 @@ def parse_ints(build, text: str, what: str, item: str):
     values = []
     for pos, tok in enumerate(stripped.replace(",", " ").split(), 1):
         try:
+            if not _INT_TOKEN.fullmatch(tok):
+                raise ValueError
             values.append(int(tok))
-        except ValueError:
+        except ValueError:  # not a token, or past int()'s digit limit
             raise ParseError(f"{item} {pos}: {tok!r} is not an integer") from None
     try:
         return build(tuple(values))
@@ -87,19 +92,17 @@ class RunProfile:
     """Maximal constant-sign blocks of a list and their per-run maxima.
 
     ``runs`` holds (sign, first, last) with 1-based inclusive bounds; the
-    blocks tile [t] in order.  ``alphas``/``betas`` are the maxima (in
-    absolute value) of the up-runs/down-runs, ``up_runs``/``down_runs`` the
-    corresponding position tuples, and ``y`` is half the number of runs (for
-    a Catalan list the run count is even and the first run is positive).
-    ``cost`` is the sum of all run maxima.
+    blocks tile [t] in order, so run r covers ``entries[first - 1 : last]``.
+    ``alphas``/``betas`` are the maxima (in absolute value) of the
+    up-runs/down-runs, and ``y`` is half the number of runs (for a Catalan
+    list the run count is even and the first run is positive).  ``cost`` is
+    the sum of all run maxima.
     """
 
     runs: tuple[tuple[int, int, int], ...]
     y: int
     alphas: tuple[int, ...]
     betas: tuple[int, ...]
-    up_runs: tuple[tuple[int, ...], ...]
-    down_runs: tuple[tuple[int, ...], ...]
     cost: int
 
 
@@ -155,28 +158,23 @@ def run_profile(xs: SignedList) -> RunProfile:
     t = len(entries)
     if t == 0:
         raise ValueError("run profile of an empty list")
-    runs, alphas, betas, up_runs, down_runs = [], [], [], [], []
+    runs, alphas, betas = [], [], []
     first = 0  # 0-based start of the current run
     for q in range(1, t + 1):
         if q < t and (entries[q] > 0) == (entries[first] > 0):
             continue
-        positions = tuple(range(first + 1, q + 1))
         if entries[first] > 0:
             runs.append((1, first + 1, q))
             alphas.append(max(entries[first:q]))
-            up_runs.append(positions)
         else:
             runs.append((-1, first + 1, q))
             betas.append(-min(entries[first:q]))
-            down_runs.append(positions)
         first = q
     return RunProfile(
         runs=tuple(runs),
         y=len(runs) // 2,
         alphas=tuple(alphas),
         betas=tuple(betas),
-        up_runs=tuple(up_runs),
-        down_runs=tuple(down_runs),
         cost=sum(alphas) + sum(betas),
     )
 
@@ -215,10 +213,9 @@ def is_valid_decomposition(xs: SignedList, positions) -> bool:
     One pass over the list keeps the running sums of both sublists.
     """
     t = len(xs)
-    part = frozenset(positions)
-    if not part or len(part) >= t or any(not (1 <= p <= t) for p in part):
+    chosen = {_as_int(p) for p in positions}
+    if not chosen or len(chosen) >= t or not 1 <= min(chosen) <= max(chosen) <= t:
         return False
-    chosen = {_as_int(p) for p in part}
     sums = [0, 0]  # [complement, part]
     for pos, e in enumerate(xs.entries, 1):
         side = pos in chosen

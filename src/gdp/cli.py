@@ -12,7 +12,7 @@ tokens starting with a minus sign):
     gdp oracle hilbert --r N --n N
 
 Lists, partitions and --highlight share one token rule (catalan.parse_ints):
-comma- or whitespace-separated integers, no empty tokens.
+comma- or whitespace-separated ASCII integers ([+-]?[0-9]+), no empty tokens.
 
 Exit codes: 0 decomposition/success, 1 irreducible/none, 3 invalid input
 (any ValueError, usage errors included), 4 search budget exceeded (an

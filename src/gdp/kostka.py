@@ -66,10 +66,6 @@ class Partition:
         """Largest part (0 for the empty partition)."""
         return self.parts[0] if self.parts else 0
 
-    def row(self, i: int) -> int:
-        """i-th part, 1-based, 0 beyond the last nonzero part."""
-        return self.parts[i - 1] if 1 <= i <= len(self.parts) else 0
-
     def padded(self, n: int) -> tuple[int, ...]:
         return self.parts + (0,) * (n - len(self.parts))
 

@@ -269,9 +269,8 @@ def _leftmost_positions(xs, values):
 def _single_peak(xs, prof):
     """Witness or certificate for cost = width with one peak (see
     :func:`reduce_y1`)."""
-    entries = xs.entries
-    ups = [entries[pos - 1] for pos in prof.up_runs[0]]
-    downs = [entries[pos - 1] for pos in prof.down_runs[0]]
+    k = prof.runs[0][2]  # the up-run is positions 1..k, the down-run the rest
+    ups, downs = xs.entries[:k], xs.entries[k:]
     alpha, beta = prof.alphas[0], prof.betas[0]
 
     if any(v < alpha for v in ups):

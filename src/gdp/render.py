@@ -17,13 +17,21 @@ MARGIN = 10.0
 
 
 def path_points(xs: SignedList, scale: float = 1):
-    """Vertices of the path, starting at (0, 0), one per entry."""
+    """Vertices of the path, starting at (0, 0), one per entry.  ValueError
+    is raised unless the last x, which bounds every coordinate and the
+    path's height, is a finite float."""
     pts = [(0, 0)]
     x = y = 0
-    for e in xs:
-        x += abs(e) * scale
-        y += e * scale
-        pts.append((x, y))
+    try:
+        for e in xs:
+            x += abs(e) * scale
+            y += e * scale
+            pts.append((x, y))
+        finite = math.isfinite(x)
+    except OverflowError:  # an int too large for a float
+        finite = False
+    if not finite:
+        raise ValueError(f"the path is too large to draw at scale {scale:g}")
     return pts
 
 
@@ -42,23 +50,18 @@ def render_svg(
     Highlighted positions get a distinct stroke color from the rest; with an
     empty highlight every segment uses a single neutral color.  ``axis``
     adds a baseline and a vertical line up to the peak.  ValueError is
-    raised unless the drawing's width and height, which bound every
-    coordinate, are finite floats.
+    raised for a scale that is not positive, or one at which
+    :func:`path_points` finds the path too large to draw.
     """
     if scale <= 0:
         raise ValueError("scale must be positive")
     highlight = frozenset(highlight)
-    try:
-        pts = path_points(xs, scale)
-        ys = [p[1] for p in pts]
-        top = max(ys + [0])
-        bottom = min(ys + [0])
-        width_px = pts[-1][0] + 2 * MARGIN
-        height_px = (top - bottom) + 2 * MARGIN
-    except OverflowError:
-        width_px = height_px = math.inf
-    if not (math.isfinite(width_px) and math.isfinite(height_px)):
-        raise ValueError(f"the path is too large to draw at scale {scale:g}")
+    pts = path_points(xs, scale)
+    ys = [p[1] for p in pts]
+    top = max(ys + [0])
+    bottom = min(ys + [0])
+    width_px = pts[-1][0] + 2 * MARGIN
+    height_px = (top - bottom) + 2 * MARGIN
 
     def x_px(v):
         return v + MARGIN

@@ -99,8 +99,7 @@ class TestRunProfile:
         assert prof.y == 2
         assert prof.alphas == (5, 5)
         assert prof.betas == (3, 4)
-        assert prof.up_runs == ((1, 2, 3, 4), (11, 12, 13, 14))
-        assert prof.down_runs == ((5, 6, 7, 8, 9, 10), (15, 16, 17, 18, 19))
+        assert prof.runs == ((1, 1, 4), (-1, 5, 10), (1, 11, 14), (-1, 15, 19))
 
     def test_single_pair(self):
         prof = run_profile(SignedList((1, -1)))
@@ -212,6 +211,11 @@ class TestIsValidDecomposition:
         assert not is_valid_decomposition(xs, set())
         assert not is_valid_decomposition(xs, {1, 2, 3, 4})
         assert not is_valid_decomposition(xs, {1, 7})
+        # {1, 2} splits this list, so only the range check refuses these two.
+        assert not is_valid_decomposition(xs, {0, 1, 2})
+        assert not is_valid_decomposition(xs, {1, 2, 5})
+        # A repeated position counts once.
+        assert is_valid_decomposition(xs, [1, 2, 2])
 
     @given(nonzero_entries.filter(lambda e: len(e) >= 2), st.data())
     def test_complement_symmetry(self, entries, data):

@@ -25,9 +25,10 @@ class TestCheck:
         assert "alphas=5,5" in out and "betas=3,4" in out
 
     def test_unit_pair(self, capsys):
-        code, out, _ = run(capsys, "check", "1,-1")
-        assert code == 0
-        assert out.startswith("catalan=true cost=2 width=2 y=1")
+        for text in ("1,-1", "+1,-1"):
+            code, out, _ = run(capsys, "check", text)
+            assert code == 0
+            assert out.startswith("catalan=true cost=2 width=2 y=1")
 
     def test_non_catalan(self, capsys):
         code, out, _ = run(capsys, "check", "-1,1")
@@ -40,9 +41,18 @@ class TestCheck:
         assert "cost=3 width=3" in out
 
     def test_parse_error(self, capsys):
-        code, _, err = run(capsys, "check", "1,0,-1")
-        assert code == 3
-        assert "zero entries" in err
+        # A token is ASCII digits with an optional sign: int() alone would
+        # read 1_0 as 10 and the Arabic-Indic digit one as 1.
+        cases = (
+            ("1,0,-1", "zero entries"),
+            ("1_0,-1_0", "position 1: '1_0' is not an integer"),
+            ("\u0661,-\u0661", "position 1: '\u0661' is not an integer"),
+        )
+        for text, message in cases:
+            code, out, err = run(capsys, "check", text)
+            assert code == 3
+            assert out == ""
+            assert message in err
 
     def test_missing_operand(self, capsys):
         code, _, err = run(capsys, "check")
@@ -214,7 +224,11 @@ class TestKostka:
         assert "invalid pair" in err
 
     def test_malformed_pair(self, capsys):
-        cases = (("5,3,1", "lambda / mu"), ("2,,1 / 1,1,1", "empty token"))
+        cases = (
+            ("5,3,1", "lambda / mu"),
+            ("2,,1 / 1,1,1", "empty token"),
+            ("1_0 / 1_0", "part 1: '1_0' is not an integer"),
+        )
         for pair, message in cases:
             code, out, err = run(capsys, "kostka", pair)
             assert code == 3

@@ -108,7 +108,7 @@ class TestConjugate:
     def test_counts_rows(self, p):
         conj = conjugate(p)
         for j in range(1, p.first + 1):
-            assert conj.row(j) == sum(1 for v in p.parts if v >= j)
+            assert conj.parts[j - 1] == sum(1 for v in p.parts if v >= j)
 
 
 class TestDominates:

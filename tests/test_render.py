@@ -53,6 +53,12 @@ class TestPathPoints:
             assert pts[-1][0] == 2 * sum(abs(e) for e in entries)
             assert pts[-1][1] == 0  # Catalan input returns to the axis
 
+    def test_rejects_paths_too_large_to_draw(self):
+        # 10**400 * 10.0 does not convert to a float; 5 * 1e308 is inf.
+        for entries, scale in (((10**400, -10**400), 10.0), ((5, -5), 1e308)):
+            with pytest.raises(ValueError, match="too large to draw"):
+                path_points(SignedList(entries), scale)
+
 
 class TestRenderSvg:
     def test_segment_count_and_colors(self):
