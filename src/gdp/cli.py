@@ -36,16 +36,11 @@ from .catalan import (
     is_generalized_catalan,
     is_valid_decomposition,
     parse_ints,
+    require_catalan,
     run_profile,
     width,
 )
-from .kostka import (
-    ColumnSplit,
-    KostkaPair,
-    Partition,
-    common_reduce,
-    split_pair,
-)
+from .kostka import ColumnSplit, KostkaPair, Partition, common_reduce
 from .oracle import enumerate_hilbert_basis, reducible_bruteforce
 from .reducer import Irreducible, reduce
 from .render import render_svg
@@ -140,7 +135,7 @@ def cmd_kostka(args, operands) -> int:
         raise ParseError(f"invalid pair: {exc}") from None
     outcome = common_reduce(pair)
     if isinstance(outcome, ColumnSplit):
-        left, right = split_pair(pair, outcome.columns)
+        left, right = outcome.sides
         if args.json:
             record = {
                 "kind": "split",
@@ -205,6 +200,7 @@ def cmd_render(args, operands) -> int:
 
 def cmd_oracle_reduce(args, operands) -> int:
     xs = SignedList.parse(_operand_text(operands))
+    require_catalan(xs)  # a split's two Catalan sides make a Catalan list
     found = reducible_bruteforce(xs)
     if found is None:
         print("none")

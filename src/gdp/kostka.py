@@ -23,7 +23,7 @@ text by the token rule of signed lists, ``catalan.parse_ints``.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import ge, sub, index as _as_int
 
@@ -146,9 +146,14 @@ class KostkaPair:
 @dataclass(frozen=True, slots=True)
 class ColumnSplit:
     """Columns C witnessing common reducibility: both (lambda, mu) restricted
-    to C and to the complement are valid nontrivial pairs."""
+    to C and to the complement are valid nontrivial pairs.
+
+    ``sides`` holds those two pairs, C's first, as :func:`split_pair` gives
+    them; equality and hashing depend on ``columns`` alone.
+    """
 
     columns: frozenset[int]
+    sides: tuple[KostkaPair, KostkaPair] = field(compare=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -246,11 +251,13 @@ def common_reduce(kp: KostkaPair) -> ColumnSplit | KostkaIrreducible:
     A zero column of the column vector splits on its own (the lowest such
     column is returned).  Otherwise the column vector is a zero-free signed
     list whose decompositions are exactly the column splits, and the reducer
-    settles it.  A split always exists when lambda_1 > length(mu), and when
-    lambda_1 = length(mu) unless both partitions are rectangles with coprime
-    widths.  BudgetExceededError is raised, by :func:`conjugate`, for a pair
-    wider than ``MAX_COLUMNS`` columns, and passes through from the reducer
-    when the column vector's search table would be too large.
+    settles it.  The split's two sides are built once, to check it, and the
+    returned :class:`ColumnSplit` carries them; RuntimeError is raised when
+    the check fails.  A split always exists when lambda_1 > length(mu), and
+    when lambda_1 = length(mu) unless both partitions are rectangles with
+    coprime widths.  BudgetExceededError is raised, by :func:`conjugate`, for
+    a pair wider than ``MAX_COLUMNS`` columns, and passes through from the
+    reducer when the column vector's search table would be too large.
     """
     if kp.size < 1:
         raise ValueError("the pair must have at least one cell")
@@ -275,8 +282,9 @@ def common_reduce(kp: KostkaPair) -> ColumnSplit | KostkaIrreducible:
                 outcome.basis,
             )
         columns = outcome.part  # zero-free: positions are columns
-    if not verify_column_split(kp, columns):
+    sides = _sides(kp, columns)
+    if sides is None:
         raise RuntimeError(
             f"internal error: columns {sorted(columns)} do not split {kp.format()}"
         )
-    return ColumnSplit(columns)
+    return ColumnSplit(columns, sides)

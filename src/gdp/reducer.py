@@ -6,13 +6,14 @@ per-run maxima and ``width`` for the length, the decision procedure is:
 
   * cost < width: always reducible; a witness comes out of a pigeonhole
     argument over the phases of the greedy reordering (:func:`reduce_strict`).
-  * cost = width, more than one peak: always reducible; either the reordered
-    walk returns to zero inside the first up-phase, or the same pigeonhole
-    fires (:func:`reduce_equality`).
+  * cost = width, more than one peak: always reducible; when no phase
+    overflows, the same pigeonhole fires over the first up-phase with step 0
+    counted in, so a return to zero is one of its collisions
+    (:func:`reduce_equality`).
   * cost = width, single peak: reducible unless every entry is the up-run
     maximum or the negated down-run maximum and those maxima are coprime;
     the constructive search sorts the up-run, walks it greedily and pigeonholes
-    the running sums (:func:`reduce_y1`).
+    the running sums from step 0 (:func:`reduce_y1`).
   * cost > width: no structural criterion; a search over (position, chosen
     prefix sum) settles it in O(t * H) for width t and largest prefix sum H
     (:func:`reduce`).
@@ -122,9 +123,12 @@ def phase_profile(p: GreedyPermutation, prof: RunProfile) -> PhaseProfile:
 def _lex_least_equal_pair(keyed):
     """Lexicographically least (h1, h2), h1 < h2, with equal keys.
 
-    ``keyed`` is an iterable of (h, key) with strictly increasing h.  Every
-    caller holds a pigeonhole argument that two keys are equal, so finding
-    none is an internal error.
+    ``keyed`` is an iterable of (h, key) with strictly increasing h.  A
+    caller that also cuts at a return to zero starts it with step 0,
+    ``(0, 0)``: a return to zero is then a collision with step 0, and the
+    least pair is ``(0, h)`` at the first zero when there is one, else the
+    least collision.  Every caller holds a pigeonhole argument that two keys
+    are equal, so finding none is an internal error.
     """
     first = {}
     best = None
@@ -140,31 +144,11 @@ def _lex_least_equal_pair(keyed):
     return best
 
 
-def _walk(p, h):
-    return 0 if h == 0 else p.running_sums[h - 1]
-
-
-def _split_between(p, h1, h2):
-    """Part carried by steps h1+1..h2 of the reordering, as original positions."""
+def _pigeonhole_split(p, keyed):
+    """Part carried by steps h1+1..h2 of the reordering, as original
+    positions, for the least equal pair (h1, h2) of ``keyed``."""
+    h1, h2 = _lex_least_equal_pair(keyed)
     return Decomposition(frozenset(p.one_line[h1:h2]))
-
-
-def _overfull_phase_split(p, prof, phases):
-    """Pigeonhole split from the first phase exceeding its run maximum."""
-    steps = p.reordered.entries
-    for i, (lo, hi) in enumerate(phases.up_phases):
-        if phases.u_counts[i] > prof.alphas[i]:
-            pair = _lex_least_equal_pair(
-                (h, _walk(p, h)) for h in range(lo, hi + 1) if steps[h - 1] < 0
-            )
-            return _split_between(p, *pair)
-    for j, (lo, hi) in enumerate(phases.down_phases):
-        if phases.d_counts[j] > prof.betas[j]:
-            pair = _lex_least_equal_pair(
-                (h, _walk(p, h)) for h in range(lo, hi + 1) if steps[h] > 0
-            )
-            return _split_between(p, *pair)
-    return None
 
 
 def _checked(xs, outcome):
@@ -189,26 +173,35 @@ def _catalan_profile(xs):
 
 def _phase_split(xs, prof):
     """Witness for cost < width, where the counting identity forces an
-    overfull phase, or for cost = width with more than one peak."""
+    overfull phase, or for cost = width with more than one peak.
+
+    The first phase that exceeds its run maximum has more steps of the
+    counted sign than values its running sums can take, so two collide.
+    When every phase is exactly full, the u_1 = alpha_1 negative steps of the
+    first up-phase and step 0 give alpha_1 + 1 running sums in [0, alpha_1),
+    so two collide.  The walk reaches 0 only on a negative step, so a return
+    to zero is a collision with step 0 and, being the least pair, wins.  The
+    cut is proper because the first up-phase ends before step t when there
+    is a second up-run.
+    """
     p = _greedy_pi(xs)
     phases = phase_profile(p, prof)
-    d = _overfull_phase_split(p, prof, phases)
-    if d is not None:
-        return d
-    # Every phase is exactly full.  If the reordered walk returns to zero
-    # inside the first up-phase, cut there; the cut is proper because the
-    # first up-phase ends before step t when there is a second up-run.
-    lo, hi = phases.up_phases[0]
-    for h in range(lo, hi + 1):
-        if _walk(p, h) == 0:
-            return _split_between(p, 0, h)
-    # Otherwise the u_1 = alpha_1 negative steps of the first up-phase have
-    # running sums inside (0, alpha_1): one value short, so two collide.
     steps = p.reordered.entries
-    pair = _lex_least_equal_pair(
-        (h, _walk(p, h)) for h in range(lo, hi + 1) if steps[h - 1] < 0
+    walk = (0,) + p.running_sums  # walk[h]: running sum after h steps
+    for i, (lo, hi) in enumerate(phases.up_phases):
+        if phases.u_counts[i] > prof.alphas[i]:
+            return _pigeonhole_split(
+                p, ((h, walk[h]) for h in range(lo, hi + 1) if steps[h - 1] < 0)
+            )
+    for j, (lo, hi) in enumerate(phases.down_phases):
+        if phases.d_counts[j] > prof.betas[j]:
+            return _pigeonhole_split(
+                p, ((h, walk[h]) for h in range(lo, hi + 1) if steps[h] > 0)
+            )
+    lo, hi = phases.up_phases[0]
+    return _pigeonhole_split(
+        p, [(0, 0), *((h, walk[h]) for h in range(lo, hi + 1) if steps[h - 1] < 0)]
     )
-    return _split_between(p, *pair)
 
 
 def reduce_strict(xs: SignedList) -> Decomposition:
@@ -229,32 +222,25 @@ def reduce_equality(xs: SignedList) -> Decomposition:
     return _checked(xs, _phase_split(xs, prof))
 
 
-def _y1_zero_multisets(ups, downs):
-    """Find a proper nonempty zero-sum value multiset of a single-peak list.
+def _y1_zero_multiset(ups, downs):
+    """A proper nonempty zero-sum value multiset of a single-peak list.
 
     ``ups`` are the up-run values (some strictly below their maximum) and
-    ``downs`` the down-run values in order.  Sorts the up-run ascending,
-    reorders greedily, and splits either at a zero running sum or at the
-    first repeated running sum.  Returns (positive values, negative values).
+    ``downs`` the down-run values in order.  Sorts the up-run ascending and
+    reorders greedily; the running sums M_0 = 0, M_1, ..., M_{t-1} take t
+    values over t - 1 possible ones, so two collide.  Returns the values of
+    the steps between the least pair, which starts at step 0 when the walk
+    returns to zero.
     """
-    arranged = SignedList(tuple(sorted(ups)) + tuple(downs))
-    t = len(arranged)
-    sig = build_sigma(arranged)
-    sums = sig.running_sums
-    chosen = None
-    for q in range(1, t):  # running sums M_1 .. M_{t-1}
-        if sums[q - 1] == 0:
-            chosen = [arranged.entries[pos - 1] for pos in sig.one_line[:q]]
-            break
-    if chosen is None:
-        # t-1 sums over t-2 possible values must collide.
-        q1, q2 = _lex_least_equal_pair((q, sums[q - 1]) for q in range(1, t))
-        chosen = [arranged.entries[pos - 1] for pos in sig.one_line[q1:q2]]
-    return [v for v in chosen if v > 0], [v for v in chosen if v < 0]
+    sig = build_sigma(SignedList(tuple(sorted(ups)) + tuple(downs)))
+    walk = (0,) + sig.running_sums[:-1]  # M_0 .. M_{t-1}
+    q1, q2 = _lex_least_equal_pair(enumerate(walk))
+    return sig.reordered.entries[q1:q2]
 
 
 def _leftmost_positions(xs, values):
-    """Positions realizing a multiset of values, leftmost occurrences first."""
+    """Positions realizing a multiset of values, given in any order,
+    leftmost occurrences first."""
     need = {}
     for v in values:
         need[v] = need.get(v, 0) + 1
@@ -274,25 +260,22 @@ def _single_peak(xs, prof):
     alpha, beta = prof.alphas[0], prof.betas[0]
 
     if any(v < alpha for v in ups):
-        pos_vals, neg_vals = _y1_zero_multisets(ups, downs)
+        values = _y1_zero_multiset(ups, downs)
     elif any(v > -beta for v in downs):
         # Mirror the list (reverse and negate): its up-run is the negated
         # down-run, whose minimum is now below the maximum.
         mirror_ups = [-v for v in reversed(downs)]
         mirror_downs = [-v for v in reversed(ups)]
-        mirror_pos, mirror_neg = _y1_zero_multisets(mirror_ups, mirror_downs)
-        pos_vals = [-v for v in mirror_neg]
-        neg_vals = [-v for v in mirror_pos]
+        values = [-v for v in _y1_zero_multiset(mirror_ups, mirror_downs)]
     else:
         # All entries are alpha or -beta; cost = width then forces exactly
         # beta positive and alpha negative entries.
         g = math.gcd(alpha, beta)
         if g == 1:
             return Irreducible(alpha, beta, "coprime")
-        pos_vals = [alpha] * (beta // g)
-        neg_vals = [-beta] * (alpha // g)
+        values = [alpha] * (beta // g) + [-beta] * (alpha // g)
 
-    return Decomposition(_leftmost_positions(xs, pos_vals + neg_vals))
+    return Decomposition(_leftmost_positions(xs, values))
 
 
 def reduce_y1(xs: SignedList) -> ReduceOutcome:

@@ -154,6 +154,10 @@ class TestKostka:
         columns = {int(c) for c in lines[0].split("=")[-1].split(",")}
         kp = KostkaPair(Partition((5, 3, 1)), Partition((3, 3, 2, 1)))
         assert verify_column_split(kp, columns)
+        assert lines[1:] == [
+            "part: lambda=1,1 mu=1,1",
+            "rest: lambda=4,2,1 mu=2,2,2,1",
+        ]
 
     def test_irreducible_rectangles(self, capsys):
         code, out, _ = run(capsys, "kostka", "--r", "2", "--json", "2,0 / 1,1")
@@ -301,6 +305,15 @@ class TestOracleCommands:
         code, out, _ = run(capsys, "oracle", "reduce", "1,-1,1,-1")
         assert code == 0
         assert out.strip() == "part=1,2"
+
+    def test_reduce_refuses_non_catalan(self, capsys):
+        # The two sides of a split are Catalan, so their union is too: a
+        # non-Catalan list is refused, not reported irreducible.
+        for text in ("1,1", "-1,1", "1,-1,1"):
+            code, out, err = run(capsys, "oracle", "reduce", text)
+            assert code == 3
+            assert out == ""
+            assert "input list is not generalized Catalan" in err
 
     def test_budget_exit(self, capsys):
         wide = ",".join(["1,-1"] * 13)

@@ -266,6 +266,7 @@ class TestCommonReduce:
         assert isinstance(out, ColumnSplit)
         assert verify_column_split(kp, out.columns)
         assert out.columns == {3}  # the lowest zero column splits on its own
+        assert out.sides == split_pair(kp, out.columns)
 
     def test_coprime_rectangles(self):
         kp = KostkaPair(Partition((2, 0)), Partition((1, 1)), 2)
@@ -280,7 +281,8 @@ class TestCommonReduce:
     def test_equal_columns_split(self):
         kp = KostkaPair(Partition((2, 2)), Partition((2, 2)))
         out = common_reduce(kp)
-        assert out == ColumnSplit(frozenset({1}))
+        assert out.columns == {1}
+        assert out.sides == split_pair(kp, out.columns)
 
     def test_single_column_pair(self):
         kp = KostkaPair(Partition((1, 1)), Partition((1, 1)))
@@ -311,13 +313,16 @@ class TestCommonReduce:
                 assert verify_column_split(kp, out.columns)
                 left, right = split_pair(kp, out.columns)  # summands revalidate
                 assert left.size + right.size == kp.size
+                assert out.sides == (left, right)
             else:
                 assert not column_split_exists(kp)
 
     def test_wide_column_vector(self, wide_pair):
         vec = (3, -3) + (9, 9, 9, -8, -8, -8, -3) * 3 + (1, -1)
         assert column_vector(wide_pair) == vec
-        assert common_reduce(wide_pair) == ColumnSplit(frozenset({1, 2}))
+        out = common_reduce(wide_pair)
+        assert out.columns == {1, 2}
+        assert out.sides == split_pair(wide_pair, out.columns)
 
     def test_column_budget(self):
         # Refused before anything of size lambda_1 is built; at the budget
@@ -328,7 +333,7 @@ class TestCommonReduce:
                 with pytest.raises(BudgetExceededError, match="columns exceed"):
                     refuse(kp)
         kp = KostkaPair(Partition((MAX_COLUMNS,)), Partition((MAX_COLUMNS,)))
-        assert common_reduce(kp) == ColumnSplit(frozenset({1}))
+        assert common_reduce(kp).columns == {1}
         assert column_vector(kp) == (0,) * MAX_COLUMNS
         assert conjugate(kp.lam).parts == (1,) * MAX_COLUMNS
 

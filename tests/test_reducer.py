@@ -128,12 +128,19 @@ class TestReduceEquality:
             reduce_equality(SignedList((2, 1, -1, -2)))  # y == 1
 
     def test_two_peaks(self):
-        xs = SignedList((2, -1, -1, 1, -1))
-        assert is_generalized_catalan(xs)
-        assert cost(xs) == width(xs) == 5
-        d = reduce_equality(xs)
-        assert is_valid_decomposition(xs, d.part)
-        assert d.part == {1, 2, 3}
+        # In the second list every phase is exactly full, and the first
+        # up-phase both returns to zero and repeats a running sum.  The
+        # return to zero is the least pair; the collision would give {2, 4}.
+        for entries, part in (
+            ((2, -1, -1, 1, -1), {1, 2, 3}),
+            ((1, 2, -1, -2, 1, -1), {1, 3}),
+        ):
+            xs = SignedList(entries)
+            assert is_generalized_catalan(xs)
+            assert cost(xs) == width(xs) == len(entries)
+            d = reduce_equality(xs)
+            assert is_valid_decomposition(xs, d.part)
+            assert d.part == part
 
     def test_always_valid_on_random_equality_instances(self):
         rng = random.Random(909)
@@ -162,11 +169,14 @@ class TestReduceY1:
         assert is_valid_decomposition(xs, out.part)
 
     def test_sorted_walk_split(self):
-        xs = SignedList((2, 1, -1, -2))
-        out = reduce_y1(xs)
-        assert isinstance(out, Decomposition)
-        assert out.part == {2, 3}
-        assert is_valid_decomposition(xs, out.part)
+        # The second list's sorted walk never returns to zero and repeats
+        # two running sums: the least pair gives {1, 2, 4}, the last {2, 5}.
+        for entries, part in (((2, 1, -1, -2), {2, 3}), ((1, 2, 2, -3, -2), {1, 2, 4})):
+            xs = SignedList(entries)
+            out = reduce_y1(xs)
+            assert isinstance(out, Decomposition)
+            assert out.part == part
+            assert is_valid_decomposition(xs, out.part)
 
     def test_mirror_case(self):
         # All up-run entries equal the maximum, down-run is not constant.
@@ -348,7 +358,7 @@ gdp.reducer.is_valid_decomposition = lambda xs, positions: False
 bad = [f.__name__ for f, e in calls if not raises_runtime_error(f, SignedList(e))]
 gdp.reducer.is_valid_decomposition = valid
 
-gdp.kostka.verify_column_split = lambda kp, columns: False
+gdp.kostka._sides = lambda kp, columns: None
 for lam, mu in (((5, 3, 1), (3, 3, 2, 1)), ((2, 2), (2, 2))):  # reducer, zero column
     pair = KostkaPair(Partition(lam), Partition(mu))
     if not raises_runtime_error(gdp.kostka.common_reduce, pair):
