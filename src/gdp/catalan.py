@@ -15,7 +15,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from operator import index as _as_int
 
 
@@ -56,14 +55,61 @@ def parse_ints(build, text: str, what: str, item: str):
         raise ParseError(str(exc)) from None
 
 
-@dataclass(frozen=True, slots=True)
-class SignedList:
+class _Value:
+    """Base of the package's value types: slotted and frozen, equal and
+    hashed by their fields, printed as ``Name(field=value, ...)``, and
+    picklable.
+
+    A subclass names its fields in ``__slots__``, in the order of its
+    ``__init__`` parameters, and sets each one once with
+    ``object.__setattr__``.  Equality and hashing use ``_key()``, every field
+    unless a subclass narrows it; comparing with another class gives
+    ``NotImplemented``.  ``match`` patterns take the fields positionally, and
+    pickling and copying rebuild through ``__init__``.  These are plain
+    classes rather than dataclasses because ``dataclasses`` brings ``inspect``
+    and ``ast`` into every ``gdp`` start-up and compiles each class's methods
+    at import.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls.__match_args__ = cls.__slots__
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    _key = _fields
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+
+class SignedList(_Value):
     """Ordered list of nonzero integers."""
 
-    entries: tuple[int, ...] = ()
+    __slots__ = ("entries",)
 
-    def __post_init__(self) -> None:
-        ents = tuple(map(_as_int, self.entries))
+    def __init__(self, entries: tuple[int, ...] = ()) -> None:
+        ents = tuple(map(_as_int, entries))
         if 0 in ents:
             pos = ents.index(0) + 1
             raise ValueError(f"position {pos}: zero entries are not allowed")
@@ -87,8 +133,7 @@ class SignedList:
         return ",".join(str(e) for e in self.entries)
 
 
-@dataclass(frozen=True, slots=True)
-class RunProfile:
+class RunProfile(_Value):
     """Maximal constant-sign blocks of a list and their per-run maxima.
 
     ``runs`` holds (sign, first, last) with 1-based inclusive bounds; the
@@ -99,22 +144,31 @@ class RunProfile:
     the sum of all run maxima.
     """
 
-    runs: tuple[tuple[int, int, int], ...]
-    y: int
-    alphas: tuple[int, ...]
-    betas: tuple[int, ...]
-    cost: int
+    __slots__ = ("runs", "y", "alphas", "betas", "cost")
+
+    def __init__(
+        self,
+        runs: tuple[tuple[int, int, int], ...],
+        y: int,
+        alphas: tuple[int, ...],
+        betas: tuple[int, ...],
+        cost: int,
+    ) -> None:
+        object.__setattr__(self, "runs", runs)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "alphas", alphas)
+        object.__setattr__(self, "betas", betas)
+        object.__setattr__(self, "cost", cost)
 
 
-@dataclass(frozen=True, slots=True)
-class Decomposition:
+class Decomposition(_Value):
     """A set of positions whose sublist and complementary sublist are both
     generalized Catalan (checked by :func:`is_valid_decomposition`)."""
 
-    part: frozenset[int]
+    __slots__ = ("part",)
 
-    def __post_init__(self) -> None:
-        part = frozenset(_as_int(p) for p in self.part)
+    def __init__(self, part: frozenset[int]) -> None:
+        part = frozenset(_as_int(p) for p in part)
         if not part:
             raise ValueError("a decomposition part must be nonempty")
         object.__setattr__(self, "part", part)

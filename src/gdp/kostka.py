@@ -23,25 +23,23 @@ text by the token rule of signed lists, ``catalan.parse_ints``.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import ge, sub, index as _as_int
 
-from .catalan import BudgetExceededError, SignedList, parse_ints
+from .catalan import BudgetExceededError, SignedList, _Value, parse_ints
 from .reducer import Irreducible, reduce
 
 MAX_COLUMNS = 2**20  # largest part (column vector width) conjugate takes
 
 
-@dataclass(frozen=True, slots=True)
-class Partition:
+class Partition(_Value):
     """Weakly decreasing nonnegative integers; trailing zeros are accepted
     at construction and stripped."""
 
-    parts: tuple[int, ...] = ()
+    __slots__ = ("parts",)
 
-    def __post_init__(self) -> None:
-        parts = tuple(map(_as_int, self.parts))
+    def __init__(self, parts: tuple[int, ...] = ()) -> None:
+        parts = tuple(map(_as_int, parts))
         if not (all(map(ge, parts, parts[1:])) and (not parts or parts[-1] >= 0)):
             for i, v in enumerate(parts):
                 if v < 0:
@@ -110,29 +108,27 @@ def dominates(a: Partition, b: Partition) -> bool:
     return all(map(ge, accumulate(a.parts), accumulate(b.parts)))
 
 
-@dataclass(frozen=True, slots=True)
-class KostkaPair:
+class KostkaPair(_Value):
     """A dominance-ordered pair of equal-size partitions in ``r`` rows.
 
     ``r`` defaults to the larger of the two lengths.
     """
 
-    lam: Partition
-    mu: Partition
-    r: int | None = None
+    __slots__ = ("lam", "mu", "r")
 
-    def __post_init__(self) -> None:
-        r = self.r
+    def __init__(self, lam: Partition, mu: Partition, r: int | None = None) -> None:
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "mu", mu)
         if r is None:
-            r = max(self.lam.length, self.mu.length)
+            r = max(lam.length, mu.length)
         else:
             r = _as_int(r)
         object.__setattr__(self, "r", r)
-        if self.lam.length > r or self.mu.length > r:
+        if lam.length > r or mu.length > r:
             raise ValueError(f"pair does not fit in {r} rows")
-        if self.lam.size != self.mu.size:
+        if lam.size != mu.size:
             raise ValueError("partitions must have equal size")
-        if not dominates(self.lam, self.mu):
+        if not dominates(lam, mu):
             raise ValueError("first partition must dominate the second")
 
     @property
@@ -143,8 +139,7 @@ class KostkaPair:
         return f"{self.lam.format()} / {self.mu.format()}"
 
 
-@dataclass(frozen=True, slots=True)
-class ColumnSplit:
+class ColumnSplit(_Value):
     """Columns C witnessing common reducibility: both (lambda, mu) restricted
     to C and to the complement are valid nontrivial pairs.
 
@@ -152,12 +147,19 @@ class ColumnSplit:
     them; equality and hashing depend on ``columns`` alone.
     """
 
-    columns: frozenset[int]
-    sides: tuple[KostkaPair, KostkaPair] = field(compare=False)
+    __slots__ = ("columns", "sides")
+
+    def __init__(
+        self, columns: frozenset[int], sides: tuple[KostkaPair, KostkaPair]
+    ) -> None:
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "sides", sides)
+
+    def _key(self) -> tuple:
+        return (self.columns,)
 
 
-@dataclass(frozen=True, slots=True)
-class KostkaIrreducible:
+class KostkaIrreducible(_Value):
     """Certificate that no column split exists, and its grounds.
 
     When the pair satisfies lambda_1 >= length(mu) this forces both
@@ -168,11 +170,21 @@ class KostkaIrreducible:
     ``"search"``.
     """
 
-    alpha1: int | None
-    beta1: int | None
-    lam_rect: tuple[int, int] | None
-    mu_rect: tuple[int, int] | None
-    basis: str
+    __slots__ = ("alpha1", "beta1", "lam_rect", "mu_rect", "basis")
+
+    def __init__(
+        self,
+        alpha1: int | None,
+        beta1: int | None,
+        lam_rect: tuple[int, int] | None,
+        mu_rect: tuple[int, int] | None,
+        basis: str,
+    ) -> None:
+        object.__setattr__(self, "alpha1", alpha1)
+        object.__setattr__(self, "beta1", beta1)
+        object.__setattr__(self, "lam_rect", lam_rect)
+        object.__setattr__(self, "mu_rect", mu_rect)
+        object.__setattr__(self, "basis", basis)
 
 
 def column_vector(kp: KostkaPair) -> tuple[int, ...]:

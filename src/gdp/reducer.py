@@ -34,15 +34,14 @@ a failed check raises RuntimeError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate
-from typing import Union
 
 from .catalan import (
     BudgetExceededError,
     Decomposition,
     RunProfile,
     SignedList,
+    _Value,
     is_valid_decomposition,
     require_catalan,
     run_profile,
@@ -54,8 +53,7 @@ from .staircase import GreedyPermutation, _greedy_pi, build_sigma
 MAX_SEARCH_BITS = 1 << 26
 
 
-@dataclass(frozen=True, slots=True)
-class Irreducible:
+class Irreducible(_Value):
     """Certificate that no decomposition exists, and its grounds.
 
     ``basis`` is ``"coprime"`` for the single-peak equality case: all entries
@@ -64,28 +62,41 @@ class Irreducible:
     fields then simply record the first-run maxima of the input.
     """
 
-    alpha1: int
-    beta1: int
-    basis: str
+    __slots__ = ("alpha1", "beta1", "basis")
+
+    def __init__(self, alpha1: int, beta1: int, basis: str) -> None:
+        object.__setattr__(self, "alpha1", alpha1)
+        object.__setattr__(self, "beta1", beta1)
+        object.__setattr__(self, "basis", basis)
 
 
-ReduceOutcome = Union[Decomposition, Irreducible]
+ReduceOutcome = Decomposition | Irreducible
 
 
-@dataclass(frozen=True, slots=True)
-class PhaseProfile:
+class PhaseProfile(_Value):
     """Phase windows of the greedy reordering and their step counts.
 
     ``up_phases``/``down_phases`` are inclusive (lo, hi) ranges; see the
     module docstring for the definitions and the counting identity.
     """
 
-    gammas: tuple[int, ...]
-    deltas: tuple[int, ...]
-    up_phases: tuple[tuple[int, int], ...]
-    down_phases: tuple[tuple[int, int], ...]
-    u_counts: tuple[int, ...]
-    d_counts: tuple[int, ...]
+    __slots__ = ("gammas", "deltas", "up_phases", "down_phases", "u_counts", "d_counts")
+
+    def __init__(
+        self,
+        gammas: tuple[int, ...],
+        deltas: tuple[int, ...],
+        up_phases: tuple[tuple[int, int], ...],
+        down_phases: tuple[tuple[int, int], ...],
+        u_counts: tuple[int, ...],
+        d_counts: tuple[int, ...],
+    ) -> None:
+        object.__setattr__(self, "gammas", gammas)
+        object.__setattr__(self, "deltas", deltas)
+        object.__setattr__(self, "up_phases", up_phases)
+        object.__setattr__(self, "down_phases", down_phases)
+        object.__setattr__(self, "u_counts", u_counts)
+        object.__setattr__(self, "d_counts", d_counts)
 
 
 def phase_profile(p: GreedyPermutation, prof: RunProfile) -> PhaseProfile:

@@ -20,22 +20,27 @@ written in one-line notation:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .catalan import SignedList, require_catalan
+from .catalan import SignedList, _Value, require_catalan
 
 
-@dataclass(frozen=True, slots=True)
-class GreedyPermutation:
+class GreedyPermutation(_Value):
     """A bijection of [t] in one-line notation plus the reordered list.
 
     ``one_line[q-1]`` is the original 1-based position visited at step q;
     ``running_sums[q-1]`` is the sum of the first q reordered entries.
     """
 
-    one_line: tuple[int, ...]
-    reordered: SignedList
-    running_sums: tuple[int, ...]
+    __slots__ = ("one_line", "reordered", "running_sums")
+
+    def __init__(
+        self,
+        one_line: tuple[int, ...],
+        reordered: SignedList,
+        running_sums: tuple[int, ...],
+    ) -> None:
+        object.__setattr__(self, "one_line", one_line)
+        object.__setattr__(self, "reordered", reordered)
+        object.__setattr__(self, "running_sums", running_sums)
 
     def __len__(self) -> int:
         return len(self.one_line)

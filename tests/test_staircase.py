@@ -4,7 +4,7 @@ import pytest
 
 from gdp.catalan import SignedList, is_generalized_catalan, sublist
 from gdp.oracle import all_catalan_subsets
-from gdp.staircase import build_pi, build_sigma
+from gdp.staircase import GreedyPermutation, build_pi, build_sigma
 
 from sweeps import check_order_transfer, random_catalan, restrict_through
 
@@ -164,8 +164,6 @@ class TestOrderTransfer:
         # Corrupt the permutation by swapping two steps and compare against
         # the pairwise reference on every corruption.
         rng = random.Random(404)
-        from dataclasses import replace
-
         for _ in range(100):
             entries = random_catalan(rng.randint(3, 9), rng)
             xs = SignedList(entries)
@@ -173,10 +171,10 @@ class TestOrderTransfer:
             order = list(p.one_line)
             i, j = rng.sample(range(len(order)), 2)
             order[i], order[j] = order[j], order[i]
-            corrupted = replace(
-                p,
-                one_line=tuple(order),
-                reordered=SignedList(tuple(entries[q - 1] for q in order)),
+            corrupted = GreedyPermutation(
+                tuple(order),
+                SignedList(tuple(entries[q - 1] for q in order)),
+                p.running_sums,
             )
             assert check_order_transfer(xs, corrupted) == reference_order_transfer(
                 entries, tuple(order)

@@ -1,0 +1,111 @@
+"""The contract of the package's value types, and what importing the CLI
+costs: frozen, slotted values that compare, hash, print and pickle by their
+fields, and a ``gdp.cli`` import that loads no heavy standard modules."""
+import copy
+import json
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from gdp.catalan import Decomposition, RunProfile, SignedList
+from gdp.kostka import ColumnSplit, KostkaIrreducible, KostkaPair, Partition
+from gdp.reducer import Irreducible, PhaseProfile
+from gdp.staircase import GreedyPermutation
+
+LAM, MU = Partition((2, 1)), Partition((1, 1, 1))
+# The sides of the column split {3} of 5,3,1 / 3,3,2,1.
+SIDES = (
+    KostkaPair(Partition((1, 1)), Partition((1, 1)), r=4),
+    KostkaPair(Partition((4, 2, 1)), Partition((2, 2, 2, 1)), r=4),
+)
+
+# (class, fields by keyword, a field to change, a different value for it, repr)
+CASES = [
+    (SignedList, dict(entries=(1, -1)), "entries", (2, -2),
+     "SignedList(entries=(1, -1))"),
+    (RunProfile,
+     dict(runs=((1, 1, 1), (-1, 2, 2)), y=1, alphas=(1,), betas=(1,), cost=2),
+     "cost", 3,
+     "RunProfile(runs=((1, 1, 1), (-1, 2, 2)), y=1, alphas=(1,), betas=(1,), cost=2)"),
+    (Decomposition, dict(part=frozenset({2, 5})), "part", frozenset({1}),
+     "Decomposition(part=frozenset({2, 5}))"),
+    (GreedyPermutation,
+     dict(one_line=(1, 2), reordered=SignedList((1, -1)), running_sums=(1, 0)),
+     "one_line", (2, 1),
+     "GreedyPermutation(one_line=(1, 2), reordered=SignedList(entries=(1, -1)), "
+     "running_sums=(1, 0))"),
+    (Irreducible, dict(alpha1=2, beta1=1, basis="coprime"), "basis", "search",
+     "Irreducible(alpha1=2, beta1=1, basis='coprime')"),
+    (PhaseProfile,
+     dict(gammas=(1,), deltas=(2,), up_phases=((1, 2),), down_phases=((0, 1),),
+          u_counts=(1,), d_counts=(1,)),
+     "d_counts", (2,),
+     "PhaseProfile(gammas=(1,), deltas=(2,), up_phases=((1, 2),), "
+     "down_phases=((0, 1),), u_counts=(1,), d_counts=(1,))"),
+    (Partition, dict(parts=(2, 1)), "parts", (3,), "Partition(parts=(2, 1))"),
+    (KostkaPair, dict(lam=LAM, mu=MU, r=3), "r", 4,
+     "KostkaPair(lam=Partition(parts=(2, 1)), mu=Partition(parts=(1, 1, 1)), r=3)"),
+    (ColumnSplit, dict(columns=frozenset({3}), sides=SIDES), "columns", frozenset({2}),
+     "ColumnSplit(columns=frozenset({3}), sides=(KostkaPair(lam=Partition(parts=(1, 1)), "
+     "mu=Partition(parts=(1, 1)), r=4), KostkaPair(lam=Partition(parts=(4, 2, 1)), "
+     "mu=Partition(parts=(2, 2, 2, 1)), r=4)))"),
+    (KostkaIrreducible,
+     dict(alpha1=None, beta1=None, lam_rect=(1, 2), mu_rect=None, basis="single-column"),
+     "lam_rect", (2, 1),
+     "KostkaIrreducible(alpha1=None, beta1=None, lam_rect=(1, 2), mu_rect=None, "
+     "basis='single-column')"),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, fields, name, other, text", CASES, ids=[case[0].__name__ for case in CASES]
+)
+def test_value_contract(cls, fields, name, other, text):
+    value = cls(**fields)
+    # Equal fields give equal objects with equal hashes; a changed field does not.
+    twin = cls(**fields)
+    assert value == twin and hash(value) == hash(twin)
+    assert value != cls(**{**fields, name: other})
+    assert value != tuple(fields.values())
+    # Positional construction and match patterns take the fields in order.
+    assert cls(*fields.values()) == value
+    assert cls.__match_args__ == tuple(fields)
+    # Frozen: no field can be assigned or deleted.
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, field, other)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+    assert repr(value) == text
+    for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value),
+                   copy.copy(value)):
+        assert type(copied) is cls and copied == value and repr(copied) == text
+
+
+def test_column_split_compares_columns_only():
+    split = ColumnSplit(frozenset({3}), SIDES)
+    swapped = ColumnSplit(frozenset({3}), SIDES[::-1])
+    assert split == swapped and hash(split) == hash(swapped)
+    assert split != ColumnSplit(frozenset({2}), SIDES)
+
+
+def test_cli_import_loads_no_heavy_modules():
+    # Without site, the interpreter loads none of these at start-up, so any
+    # that appear come from importing gdp.cli.
+    script = (
+        "import sys, json\n"
+        "before = set(sys.modules)\n"
+        "import gdp.cli\n"
+        "new = set(sys.modules) - before\n"
+        "heavy = ('dataclasses', 'inspect', 'ast', 'typing')\n"
+        "print(json.dumps([m for m in heavy if m in new]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-S", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
