@@ -15,14 +15,19 @@ question constructively.
 
 Costs, for a partition with largest part lambda_1 and l rows and a column
 set C: a conjugate takes O(lambda_1 + l); restricting to C, and so checking
-a column split, takes O((|C| + l) log |C|) and does not depend on lambda_1.
-``conjugate``, the only step that builds data of size lambda_1, refuses
-partitions wider than ``MAX_COLUMNS`` columns.  ``Partition.parse`` reads
-text by the token rule of signed lists, ``catalan.parse_ints``.
+a column split, takes O((|C| + l) log |C|) and does not depend on lambda_1;
+a pair is validated with one sum and one prefix-sum pass per partition.
+The private conjugate kernel, ``_conjugate_parts``, is the only step that
+builds data of size lambda_1 and the one home of the ``MAX_COLUMNS`` guard:
+``conjugate`` wraps its tuple in a :class:`Partition`, and
+``column_vector`` subtracts two such tuples without building one.
+``Partition.parse`` reads text by the token rule of signed lists,
+``catalan.parse_ints``.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
+from functools import partial
 from itertools import accumulate
 from operator import ge, sub, index as _as_int
 
@@ -82,30 +87,43 @@ class Partition(_Value):
         return ",".join(str(v) for v in self.parts) if self.parts else "0"
 
 
-def conjugate(p: Partition) -> Partition:
-    """Transpose of the Young diagram: row j of the result counts the parts
-    of size at least j, so the value i fills p_i - p_(i+1) rows.  A largest
-    part above ``MAX_COLUMNS`` is refused before anything is built."""
-    if p.first > MAX_COLUMNS:
-        raise BudgetExceededError(f"{p.first} columns exceed the budget {MAX_COLUMNS}")
+def _conjugate_parts(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """Parts of the conjugate of a partition's parts: part j counts the
+    parts of size at least j, so the value i fills p_i - p_(i+1) of them.
+    The one home of the ``MAX_COLUMNS`` guard: a largest part above it is
+    refused before anything is built."""
+    if parts and parts[0] > MAX_COLUMNS:
+        raise BudgetExceededError(f"{parts[0]} columns exceed the budget {MAX_COLUMNS}")
     rows = []
     below = 0
-    for i in range(len(p.parts), 0, -1):
-        rows += [i] * (p.parts[i - 1] - below)
-        below = p.parts[i - 1]
-    return Partition(tuple(rows))
+    for i in range(len(parts), 0, -1):
+        rows += [i] * (parts[i - 1] - below)
+        below = parts[i - 1]
+    return tuple(rows)
+
+
+def conjugate(p: Partition) -> Partition:
+    """Transpose of the Young diagram (see :func:`_conjugate_parts`); a
+    largest part above ``MAX_COLUMNS`` is refused."""
+    return Partition(_conjugate_parts(p.parts))
+
+
+def _prefix_dominates(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    """True iff every prefix sum of the parts ``a`` is at least that of
+    ``b``, for parts of equal total.  Comparing the first min(len(a),
+    len(b)) sums suffices: past len(a) the sums of ``a`` are the total, and
+    at len(b) < len(a) those of ``b`` already are."""
+    return all(map(ge, accumulate(a), accumulate(b)))
 
 
 def dominates(a: Partition, b: Partition) -> bool:
     """True iff every prefix sum of ``a`` is at least that of ``b``.
 
-    Only defined for equal sizes (ValueError otherwise).  Comparing the
-    first min(len(a), len(b)) suffices: past len(a) the sums of ``a`` are the
-    size, and at len(b) < len(a) those of ``b`` already are.
+    Only defined for equal sizes (ValueError otherwise).
     """
     if a.size != b.size:
         raise ValueError("dominance compares partitions of equal size")
-    return all(map(ge, accumulate(a.parts), accumulate(b.parts)))
+    return _prefix_dominates(a.parts, b.parts)
 
 
 class KostkaPair(_Value):
@@ -119,16 +137,17 @@ class KostkaPair(_Value):
     def __init__(self, lam: Partition, mu: Partition, r: int | None = None) -> None:
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "mu", mu)
+        lp, mp = lam.parts, mu.parts
         if r is None:
-            r = max(lam.length, mu.length)
+            r = max(len(lp), len(mp))
         else:
             r = _as_int(r)
         object.__setattr__(self, "r", r)
-        if lam.length > r or mu.length > r:
+        if len(lp) > r or len(mp) > r:
             raise ValueError(f"pair does not fit in {r} rows")
-        if lam.size != mu.size:
+        if sum(lp) != sum(mp):
             raise ValueError("partitions must have equal size")
-        if not dominates(lam, mu):
+        if not _prefix_dominates(lp, mp):
             raise ValueError("first partition must dominate the second")
 
     @property
@@ -191,18 +210,18 @@ def column_vector(kp: KostkaPair) -> tuple[int, ...]:
     """Per-column conjugate differences mu'_j - lambda'_j for j in [lambda_1].
 
     Sums to zero; all prefix sums are nonnegative (zeros may occur).  A pair
-    wider than ``MAX_COLUMNS`` columns is refused by :func:`conjugate`."""
-    n = kp.lam.first
-    lc = conjugate(kp.lam).padded(n)
-    mc = conjugate(kp.mu).padded(n)
-    return tuple(m - l for l, m in zip(lc, mc))
+    wider than ``MAX_COLUMNS`` columns is refused by
+    :func:`_conjugate_parts`."""
+    lc = _conjugate_parts(kp.lam.parts)  # lambda_1 parts
+    mc = _conjugate_parts(kp.mu.parts)  # mu_1 <= lambda_1 parts
+    return tuple(map(sub, mc + (0,) * (len(lc) - len(mc)), lc))
 
 
 def _column_rows(parts: tuple[int, ...], cols: list[int]) -> tuple[int, ...]:
     """Row counts over a sorted column list: row i counts the chosen columns
     of width at most p_i; columns wider than the partition simply contribute
     no cells."""
-    return tuple(bisect_right(cols, v) for v in parts)
+    return tuple(map(partial(bisect_right, cols), parts))
 
 
 def restrict_columns(p: Partition, columns) -> Partition:
@@ -224,7 +243,7 @@ def _sides(kp: KostkaPair, columns) -> tuple[KostkaPair, KostkaPair] | None:
     proper nonempty subset is empty; as mu_1 <= lambda_1, the other columns
     hold exactly the cells of each row that the chosen ones leave.
     """
-    cols = sorted(frozenset(_as_int(c) for c in columns))
+    cols = sorted(set(map(_as_int, columns)))
     n = kp.lam.first
     if not cols or len(cols) >= n or cols[0] < 1 or cols[-1] > n:
         return None
@@ -267,8 +286,8 @@ def common_reduce(kp: KostkaPair) -> ColumnSplit | KostkaIrreducible:
     returned :class:`ColumnSplit` carries them; RuntimeError is raised when
     the check fails.  A split always exists when lambda_1 > length(mu), and
     when lambda_1 = length(mu) unless both partitions are rectangles with
-    coprime widths.  BudgetExceededError is raised, by :func:`conjugate`, for
-    a pair wider than ``MAX_COLUMNS`` columns, and passes through from the
+    coprime widths.  BudgetExceededError is raised, by the conjugate kernel,
+    for a pair wider than ``MAX_COLUMNS`` columns, and passes through from the
     reducer when the column vector's search table would be too large.
     """
     if kp.size < 1:
@@ -280,9 +299,8 @@ def common_reduce(kp: KostkaPair) -> ColumnSplit | KostkaIrreducible:
             None, None, kp.lam.rectangle(), kp.mu.rectangle(), "single-column"
         )
     vec = column_vector(kp)
-    zero = next((j for j, v in enumerate(vec, 1) if v == 0), None)
-    if zero is not None:
-        columns = frozenset({zero})
+    if 0 in vec:
+        columns = frozenset({vec.index(0) + 1})
     else:
         outcome = reduce(SignedList(vec))
         if isinstance(outcome, Irreducible):

@@ -46,7 +46,7 @@ from .catalan import (
     require_catalan,
     run_profile,
 )
-from .staircase import GreedyPermutation, _greedy_pi, build_sigma
+from .staircase import GreedyPermutation, _greedy_order, build_sigma
 
 # The cost > width search keeps two bitsets of at most H + 1 bits for each of
 # the t positions; wider tables are refused before any is built.
@@ -101,34 +101,33 @@ class PhaseProfile(_Value):
 
 def phase_profile(p: GreedyPermutation, prof: RunProfile) -> PhaseProfile:
     """Compute the phase windows and counts for ``p = build_pi(xs)``, given
-    ``prof = run_profile(xs)``."""
-    t = len(p)
-    y = prof.y
-    step_of = [0] * t  # step_of[pos - 1]: the step that visits position pos
-    for step, pos in enumerate(p.one_line, 1):
-        step_of[pos - 1] = step
-    # gamma_i: first step visiting up-run i; delta_j: last step visiting down-run j
-    gammas = [min(step_of[lo - 1 : hi]) for sign, lo, hi in prof.runs if sign > 0]
-    deltas = [max(step_of[lo - 1 : hi]) for sign, lo, hi in prof.runs if sign < 0]
-    up_phases = [
-        (gammas[i], gammas[i + 1] - 1 if i + 1 < y else t) for i in range(y)
-    ]
-    down_phases = [
-        (deltas[j - 1] if j > 0 else 0, deltas[j] - 1) for j in range(y)
-    ]
+    ``prof = run_profile(xs)``.
+
+    gamma_i, the first step visiting up-run i, is the step of the run's first
+    position, and delta_j, the last step visiting down-run j, that of the
+    run's last position: the greedy reordering keeps positives in order and
+    negatives in order (order transfer), so no other position of a run is
+    visited earlier, or later.
+    """
+    return PhaseProfile(*map(tuple, _phases(p.one_line, p.reordered.entries, prof)))
+
+
+def _phases(order, steps, prof):
+    """Gammas, deltas, up- and down-phase windows and their counts, as
+    lists, for the greedy step ``order`` (1-based positions) whose entries
+    are ``steps``; see :func:`phase_profile`."""
+    t = len(order)
+    step_of = dict(zip(order, range(1, t + 1)))  # position -> visiting step
+    gammas = [step_of[lo] for sign, lo, _ in prof.runs if sign > 0]
+    deltas = [step_of[hi] for sign, _, hi in prof.runs if sign < 0]
+    up_phases = list(zip(gammas, [g - 1 for g in gammas[1:]] + [t]))
+    down_phases = list(zip([0] + deltas[:-1], [d - 1 for d in deltas]))
     # negs[h]: negative steps among steps 1..h
-    negs = list(accumulate((e < 0 for e in p.reordered.entries), initial=0))
-    return PhaseProfile(
-        gammas=tuple(gammas),
-        deltas=tuple(deltas),
-        up_phases=tuple(up_phases),
-        down_phases=tuple(down_phases),
-        u_counts=tuple(negs[hi] - negs[lo - 1] for lo, hi in up_phases),
-        # positive steps among lo+1..hi+1, the follow-ups of steps lo..hi
-        d_counts=tuple(
-            hi - lo + 1 - (negs[hi + 1] - negs[lo]) for lo, hi in down_phases
-        ),
-    )
+    negs = list(accumulate(map((0).__gt__, steps), initial=0))
+    u_counts = [negs[hi] - negs[lo - 1] for lo, hi in up_phases]
+    # positive steps among lo+1..hi+1, the follow-ups of steps lo..hi
+    d_counts = [hi - lo + 1 - (negs[hi + 1] - negs[lo]) for lo, hi in down_phases]
+    return gammas, deltas, up_phases, down_phases, u_counts, d_counts
 
 
 def _lex_least_equal_pair(keyed):
@@ -155,11 +154,11 @@ def _lex_least_equal_pair(keyed):
     return best
 
 
-def _pigeonhole_split(p, keyed):
-    """Part carried by steps h1+1..h2 of the reordering, as original
-    positions, for the least equal pair (h1, h2) of ``keyed``."""
+def _pigeonhole_split(order, keyed):
+    """Part carried by steps h1+1..h2 of the greedy step ``order``, as
+    original positions, for the least equal pair (h1, h2) of ``keyed``."""
     h1, h2 = _lex_least_equal_pair(keyed)
-    return Decomposition(frozenset(p.one_line[h1:h2]))
+    return Decomposition(frozenset(order[h1:h2]))
 
 
 def _checked(xs, outcome):
@@ -195,23 +194,22 @@ def _phase_split(xs, prof):
     cut is proper because the first up-phase ends before step t when there
     is a second up-run.
     """
-    p = _greedy_pi(xs)
-    phases = phase_profile(p, prof)
-    steps = p.reordered.entries
-    walk = (0,) + p.running_sums  # walk[h]: running sum after h steps
-    for i, (lo, hi) in enumerate(phases.up_phases):
-        if phases.u_counts[i] > prof.alphas[i]:
+    order, steps = _greedy_order(xs.entries)
+    walk = tuple(accumulate(steps, initial=0))  # walk[h]: running sum after h steps
+    _, _, up_phases, down_phases, u_counts, d_counts = _phases(order, steps, prof)
+    for (lo, hi), u, alpha in zip(up_phases, u_counts, prof.alphas):
+        if u > alpha:
             return _pigeonhole_split(
-                p, ((h, walk[h]) for h in range(lo, hi + 1) if steps[h - 1] < 0)
+                order, ((h, walk[h]) for h in range(lo, hi + 1) if steps[h - 1] < 0)
             )
-    for j, (lo, hi) in enumerate(phases.down_phases):
-        if phases.d_counts[j] > prof.betas[j]:
+    for (lo, hi), d, beta in zip(down_phases, d_counts, prof.betas):
+        if d > beta:
             return _pigeonhole_split(
-                p, ((h, walk[h]) for h in range(lo, hi + 1) if steps[h] > 0)
+                order, ((h, walk[h]) for h in range(lo, hi + 1) if steps[h] > 0)
             )
-    lo, hi = phases.up_phases[0]
+    lo, hi = up_phases[0]
     return _pigeonhole_split(
-        p, [(0, 0), *((h, walk[h]) for h in range(lo, hi + 1) if steps[h - 1] < 0)]
+        order, [(0, 0), *((h, walk[h]) for h in range(lo, hi + 1) if steps[h - 1] < 0)]
     )
 
 

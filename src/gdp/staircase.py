@@ -20,6 +20,8 @@ written in one-line notation:
 """
 from __future__ import annotations
 
+from itertools import accumulate
+
 from .catalan import SignedList, _Value, require_catalan
 
 
@@ -49,12 +51,6 @@ class GreedyPermutation(_Value):
         return "(" + " ".join(str(p) for p in self.one_line) + ")"
 
 
-def _signed_positions(entries):
-    negs = [i for i, e in enumerate(entries) if e < 0]
-    poss = [i for i, e in enumerate(entries) if e > 0]
-    return negs, poss
-
-
 def build_pi(xs: SignedList) -> GreedyPermutation:
     """Greedy reordering of a generalized Catalan list.
 
@@ -66,30 +62,33 @@ def build_pi(xs: SignedList) -> GreedyPermutation:
     Raises ValueError unless the input is nonempty and generalized Catalan.
     """
     require_catalan(xs)
-    return _greedy_pi(xs)
+    one_line, steps = _greedy_order(xs.entries)
+    return GreedyPermutation(one_line, SignedList(steps), tuple(accumulate(steps)))
 
 
-def _greedy_pi(xs: SignedList) -> GreedyPermutation:
-    """:func:`build_pi` on a list already known to be nonempty and Catalan."""
-    entries = xs.entries
-    t = len(entries)
-    negs, poss = _signed_positions(entries)
-    one_line = [1]
+def _greedy_order(entries: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The positions, 1-based, in the order :func:`build_pi` visits them,
+    and their entries, for entries already known to be nonempty and Catalan.
+
+    No step finds the negatives used up: once they are, the running sum is
+    nonnegative and the total is zero, so no positive is left either.
+    """
+    negs = [pos for pos, e in enumerate(entries, 1) if e < 0]
+    poss = [pos for pos, e in enumerate(entries, 1) if e > 0]
+    ext = (0,) + entries  # ext[pos]: the entry at 1-based position pos
+    order = [1]  # position 1 is poss[0] since a Catalan list starts positive
     running = entries[0]
-    sums = [running]
-    ni, pi = 0, 1  # position 1 is poss[0] since a Catalan list starts positive
-    for _ in range(t - 1):
-        if ni < len(negs) and running + entries[negs[ni]] >= 0:
-            nxt = negs[ni]
+    ni, pi = 0, 1
+    for _ in range(len(entries) - 1):
+        nxt = negs[ni]
+        if running + ext[nxt] >= 0:
             ni += 1
         else:
             nxt = poss[pi]
             pi += 1
-        running += entries[nxt]
-        one_line.append(nxt + 1)
-        sums.append(running)
-    reordered = SignedList(tuple(entries[p - 1] for p in one_line))
-    return GreedyPermutation(tuple(one_line), reordered, tuple(sums))
+        running += ext[nxt]
+        order.append(nxt)
+    return tuple(order), tuple(map(ext.__getitem__, order))
 
 
 def build_sigma(xs: SignedList) -> GreedyPermutation:
@@ -106,7 +105,8 @@ def build_sigma(xs: SignedList) -> GreedyPermutation:
         raise ValueError("cannot reorder an empty list")
     if sum(entries) != 0:
         raise ValueError("input list must have zero total sum")
-    negs, poss = _signed_positions(entries)
+    negs = [i for i, e in enumerate(entries) if e < 0]
+    poss = [i for i, e in enumerate(entries) if e > 0]
     ni, pi = 0, 0
     if entries[0] > 0:
         pi = 1

@@ -259,3 +259,23 @@ def phase_invariants_ok(xs, p, prof, phases) -> bool:
             if entries[p.one_line[h] - 1] > 0 and not 0 <= walk[h] < beta:
                 return False
     return True
+
+
+def definitional_phases(p, prof):
+    """``phase_profile(p, prof)``'s fields, as tuples, straight from the
+    definitions: gamma_i is the least step over up-run i's positions and
+    delta_j the greatest step over down-run j's, the windows follow the
+    reducer's module docstring, u_i counts the negative steps of up-phase
+    i, and d_j the positive steps that follow a step of down-phase j."""
+    t = len(p.one_line)
+    step_of = {pos: step for step, pos in enumerate(p.one_line, 1)}
+    runs = [range(lo, hi + 1) for _, lo, hi in prof.runs]
+    gammas = tuple(min(step_of[q] for q in run) for run in runs[0::2])
+    deltas = tuple(max(step_of[q] for q in run) for run in runs[1::2])
+    y = len(gammas)
+    up = tuple((gammas[i], gammas[i + 1] - 1 if i + 1 < y else t) for i in range(y))
+    down = tuple((deltas[j - 1] if j else 0, deltas[j] - 1) for j in range(y))
+    steps = p.reordered.entries
+    u = tuple(sum(steps[h - 1] < 0 for h in range(lo, hi + 1)) for lo, hi in up)
+    d = tuple(sum(steps[h] > 0 for h in range(lo, hi + 1)) for lo, hi in down)
+    return gammas, deltas, up, down, u, d

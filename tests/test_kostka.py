@@ -147,6 +147,17 @@ class TestPlainDefinitions:
                 pb = itertools.accumulate(b.padded(n))
                 assert dominates(a, b) == all(x >= y for x, y in zip(pa, pb))
 
+    def test_column_vector_subtracts_padded_conjugates(self):
+        # Every dominance pair; column_vector builds no conjugate Partition.
+        for lam in self.SHAPES:
+            for mu in self.SHAPES:
+                if lam.size != mu.size or not dominates(lam, mu):
+                    continue
+                n = lam.first
+                lc, mc = conjugate(lam).padded(n), conjugate(mu).padded(n)
+                want = tuple(m - l for l, m in zip(lc, mc, strict=True))
+                assert column_vector(KostkaPair(lam, mu)) == want
+
     def test_restrict_columns_counts_rows(self):
         for p in self.SHAPES:
             if p.first > 6:

@@ -29,7 +29,12 @@ from gdp.reducer import (
 )
 from gdp.staircase import build_pi
 
-from sweeps import phase_invariants_ok, random_catalan
+from sweeps import (
+    catalan_corpus,
+    definitional_phases,
+    phase_invariants_ok,
+    random_catalan,
+)
 
 EX12 = (5, 5, 4, 4, -3, -3, -3, -3, -3, -1, 5, 5, 5, 3, -4, -4, -4, -4, -4)
 
@@ -77,6 +82,22 @@ class TestPhaseProfile:
             p = build_pi(xs)
             rp = run_profile(xs)
             assert phase_invariants_ok(xs, p, rp, phase_profile(p, rp))
+
+    def test_matches_definitional_windows(self):
+        # phase_profile reads gamma and delta at the run endpoints; the
+        # definitions take the least and greatest step over the whole run.
+        corpus = catalan_corpus(8)
+        lists = [tuple(map(int, row)) for rows in corpus.values() for row in rows]
+        rng = random.Random(1414)
+        lists += [random_catalan(rng.randint(2, 40), rng) for _ in range(2000)]
+        for entries in lists:
+            xs = SignedList(entries)
+            p, rp = build_pi(xs), run_profile(xs)
+            got = phase_profile(p, rp)
+            assert (
+                got.gammas, got.deltas, got.up_phases, got.down_phases,
+                got.u_counts, got.d_counts,
+            ) == definitional_phases(p, rp), entries
 
 
 class TestReduceStrict:
