@@ -168,7 +168,7 @@ class Decomposition(_Value):
     __slots__ = ("part",)
 
     def __init__(self, part: frozenset[int]) -> None:
-        part = frozenset(_as_int(p) for p in part)
+        part = frozenset(map(_as_int, part))
         if not part:
             raise ValueError("a decomposition part must be nonempty")
         object.__setattr__(self, "part", part)
@@ -191,7 +191,7 @@ def prefix_sums(xs: SignedList) -> tuple[int, ...]:
 def is_generalized_catalan(xs: SignedList) -> bool:
     """True iff the total is zero and every prefix sum is nonnegative."""
     s = 0
-    for e in xs:
+    for e in xs.entries:
         s += e
         if s < 0:
             return False
@@ -201,29 +201,49 @@ def is_generalized_catalan(xs: SignedList) -> bool:
 def require_catalan(xs: SignedList) -> None:
     """Raise ValueError unless the list is nonempty and generalized Catalan,
     the precondition of the greedy reordering and of every decider."""
-    if len(xs) == 0:
+    if not xs.entries:
         raise ValueError("input list is empty")
     if not is_generalized_catalan(xs):
         raise ValueError("input list is not generalized Catalan")
 
 
-def run_profile(xs: SignedList) -> RunProfile:
-    entries = xs.entries
-    t = len(entries)
-    if t == 0:
-        raise ValueError("run profile of an empty list")
+def _runs(entries):
+    """Runs (sign, first, last) of a nonempty list, with 1-based inclusive
+    bounds, and the up-run maxima and negated down-run minima, as lists.
+
+    One pass tracks the sign of the current run; each run's extreme comes
+    from a slice when the run ends.
+    """
     runs, alphas, betas = [], [], []
-    first = 0  # 0-based start of the current run
-    for q in range(1, t + 1):
-        if q < t and (entries[q] > 0) == (entries[first] > 0):
-            continue
-        if entries[first] > 0:
-            runs.append((1, first + 1, q))
-            alphas.append(max(entries[first:q]))
-        else:
+    first, up = 0, entries[0] > 0
+    for q, e in enumerate(entries):
+        if e > 0:
+            if up:
+                continue
             runs.append((-1, first + 1, q))
             betas.append(-min(entries[first:q]))
+            up = True
+        else:
+            if not up:
+                continue
+            runs.append((1, first + 1, q))
+            alphas.append(max(entries[first:q]))
+            up = False
         first = q
+    if up:
+        runs.append((1, first + 1, len(entries)))
+        alphas.append(max(entries[first:]))
+    else:
+        runs.append((-1, first + 1, len(entries)))
+        betas.append(-min(entries[first:]))
+    return runs, alphas, betas
+
+
+def run_profile(xs: SignedList) -> RunProfile:
+    entries = xs.entries
+    if not entries:
+        raise ValueError("run profile of an empty list")
+    runs, alphas, betas = _runs(entries)
     return RunProfile(
         runs=tuple(runs),
         y=len(runs) // 2,
@@ -266,14 +286,18 @@ def is_valid_decomposition(xs: SignedList, positions) -> bool:
 
     One pass over the list keeps the running sums of both sublists.
     """
-    t = len(xs)
-    chosen = {_as_int(p) for p in positions}
+    t = len(xs.entries)
+    chosen = set(map(_as_int, positions))
     if not chosen or len(chosen) >= t or not 1 <= min(chosen) <= max(chosen) <= t:
         return False
-    sums = [0, 0]  # [complement, part]
+    part = rest = 0
     for pos, e in enumerate(xs.entries, 1):
-        side = pos in chosen
-        sums[side] += e
-        if sums[side] < 0:
-            return False
-    return sums == [0, 0]
+        if pos in chosen:
+            part += e
+            if part < 0:
+                return False
+        else:
+            rest += e
+            if rest < 0:
+                return False
+    return part == rest == 0

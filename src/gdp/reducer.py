@@ -16,7 +16,10 @@ per-run maxima and ``width`` for the length, the decision procedure is:
     the running sums from step 0 (:func:`reduce_y1`).
   * cost > width: no structural criterion; a search over (position, chosen
     prefix sum) settles it in O(t * H) for width t and largest prefix sum H
-    (:func:`reduce`).
+    (:func:`reduce`).  Its first-block rule answers a list whose prefix sums
+    return to zero before position t with the block {1..q0} up to that
+    return, the witness the search would find, without building a table;
+    the table-size guard still comes first.
 
 Phases: with gamma_i the first step visiting up-run i and delta_j the last
 step visiting down-run j, the i-th up-phase is [gamma_i, gamma_{i+1}) (the
@@ -26,10 +29,12 @@ Counting negative steps per up-phase (u_i) and positive follow-ups per
 down-phase (d_j) gives u_1 + ... + u_y + d_1 + ... + d_y = t, which forces a
 phase to overflow its run maximum whenever cost < width.
 
-Each public decider validates its input and builds the run profile once,
-then passes both to one private path per regime.  Every decomposition is
-checked before it is returned, by code that also runs under ``python -O``;
-a failed check raises RuntimeError.
+Each public decider validates its input and analyses its runs once, with
+the private run kernel ``catalan._runs``, then passes the list and the
+kernel's runs and run maxima to one private path per regime; none builds a
+:class:`RunProfile`.  Every decomposition is checked before it is returned,
+by code that also runs under ``python -O``; a failed check raises
+RuntimeError.
 """
 from __future__ import annotations
 
@@ -41,10 +46,10 @@ from .catalan import (
     Decomposition,
     RunProfile,
     SignedList,
+    _runs,
     _Value,
     is_valid_decomposition,
     require_catalan,
-    run_profile,
 )
 from .staircase import GreedyPermutation, _greedy_order, build_sigma
 
@@ -109,17 +114,17 @@ def phase_profile(p: GreedyPermutation, prof: RunProfile) -> PhaseProfile:
     negatives in order (order transfer), so no other position of a run is
     visited earlier, or later.
     """
-    return PhaseProfile(*map(tuple, _phases(p.one_line, p.reordered.entries, prof)))
+    return PhaseProfile(*map(tuple, _phases(p.one_line, p.reordered.entries, prof.runs)))
 
 
-def _phases(order, steps, prof):
+def _phases(order, steps, runs):
     """Gammas, deltas, up- and down-phase windows and their counts, as
     lists, for the greedy step ``order`` (1-based positions) whose entries
-    are ``steps``; see :func:`phase_profile`."""
+    are ``steps``, given the list's ``runs``; see :func:`phase_profile`."""
     t = len(order)
     step_of = dict(zip(order, range(1, t + 1)))  # position -> visiting step
-    gammas = [step_of[lo] for sign, lo, _ in prof.runs if sign > 0]
-    deltas = [step_of[hi] for sign, _, hi in prof.runs if sign < 0]
+    gammas = [step_of[lo] for sign, lo, _ in runs if sign > 0]
+    deltas = [step_of[hi] for sign, _, hi in runs if sign < 0]
     up_phases = list(zip(gammas, [g - 1 for g in gammas[1:]] + [t]))
     down_phases = list(zip([0] + deltas[:-1], [d - 1 for d in deltas]))
     # negs[h]: negative steps among steps 1..h
@@ -176,12 +181,13 @@ def _checked(xs, outcome):
 
 
 def _catalan_profile(xs):
-    """Validate a decider's input once and analyse its runs."""
+    """Validate a decider's input once and analyse its runs: the run
+    kernel's ``(runs, alphas, betas)``."""
     require_catalan(xs)
-    return run_profile(xs)
+    return _runs(xs.entries)
 
 
-def _phase_split(xs, prof):
+def _phase_split(xs, runs, alphas, betas):
     """Witness for cost < width, where the counting identity forces an
     overfull phase, or for cost = width with more than one peak.
 
@@ -196,13 +202,13 @@ def _phase_split(xs, prof):
     """
     order, steps = _greedy_order(xs.entries)
     walk = tuple(accumulate(steps, initial=0))  # walk[h]: running sum after h steps
-    _, _, up_phases, down_phases, u_counts, d_counts = _phases(order, steps, prof)
-    for (lo, hi), u, alpha in zip(up_phases, u_counts, prof.alphas):
+    _, _, up_phases, down_phases, u_counts, d_counts = _phases(order, steps, runs)
+    for (lo, hi), u, alpha in zip(up_phases, u_counts, alphas):
         if u > alpha:
             return _pigeonhole_split(
                 order, ((h, walk[h]) for h in range(lo, hi + 1) if steps[h - 1] < 0)
             )
-    for (lo, hi), d, beta in zip(down_phases, d_counts, prof.betas):
+    for (lo, hi), d, beta in zip(down_phases, d_counts, betas):
         if d > beta:
             return _pigeonhole_split(
                 order, ((h, walk[h]) for h in range(lo, hi + 1) if steps[h] > 0)
@@ -215,20 +221,20 @@ def _phase_split(xs, prof):
 
 def reduce_strict(xs: SignedList) -> Decomposition:
     """Decompose a generalized Catalan list with cost < width."""
-    prof = _catalan_profile(xs)
-    if prof.cost >= len(xs):
+    runs, alphas, betas = _catalan_profile(xs)
+    if sum(alphas) + sum(betas) >= len(xs):
         raise ValueError("cost must be strictly less than width")
-    return _checked(xs, _phase_split(xs, prof))
+    return _checked(xs, _phase_split(xs, runs, alphas, betas))
 
 
 def reduce_equality(xs: SignedList) -> Decomposition:
     """Decompose a generalized Catalan list with cost = width and > 1 peak."""
-    prof = _catalan_profile(xs)
-    if prof.cost != len(xs):
+    runs, alphas, betas = _catalan_profile(xs)
+    if sum(alphas) + sum(betas) != len(xs):
         raise ValueError("cost must equal width")
-    if prof.y <= 1:
+    if len(alphas) <= 1:
         raise ValueError("the list must have more than one up-run")
-    return _checked(xs, _phase_split(xs, prof))
+    return _checked(xs, _phase_split(xs, runs, alphas, betas))
 
 
 def _y1_zero_multiset(ups, downs):
@@ -261,12 +267,12 @@ def _leftmost_positions(xs, values):
     return frozenset(part)
 
 
-def _single_peak(xs, prof):
+def _single_peak(xs, runs, alphas, betas):
     """Witness or certificate for cost = width with one peak (see
     :func:`reduce_y1`)."""
-    k = prof.runs[0][2]  # the up-run is positions 1..k, the down-run the rest
+    k = runs[0][2]  # the up-run is positions 1..k, the down-run the rest
     ups, downs = xs.entries[:k], xs.entries[k:]
-    alpha, beta = prof.alphas[0], prof.betas[0]
+    alpha, beta = alphas[0], betas[0]
 
     if any(v < alpha for v in ups):
         values = _y1_zero_multiset(ups, downs)
@@ -295,25 +301,30 @@ def reduce_y1(xs: SignedList) -> ReduceOutcome:
     decompositions are therefore value multisets and position choices inside
     each run are free (leftmost occurrences are used).
     """
-    prof = _catalan_profile(xs)
-    if prof.cost != len(xs):
+    runs, alphas, betas = _catalan_profile(xs)
+    if sum(alphas) + sum(betas) != len(xs):
         raise ValueError("cost must equal width")
-    if prof.y != 1:
+    if len(alphas) != 1:
         raise ValueError("the list must have exactly one up-run")
-    return _checked(xs, _single_peak(xs, prof))
+    return _checked(xs, _single_peak(xs, runs, alphas, betas))
 
 
-def _search(xs, prof):
+def _search(xs, alpha1, beta1):
     """Lexicographically least decomposition of a list, or a certificate
     that there is none; the same witness as ``oracle.reducible_bruteforce``.
+    ``alpha1`` and ``beta1``, the first-run maxima, go into the certificate.
 
-    A proper nonempty position set splits the list exactly when its running
-    sums s_q satisfy 0 <= s_q <= S_q at every q and s_t = 0, where S_q are
-    the list's prefix sums.  Going backward, bit s of ``reach[q]`` says that
-    some choice among positions q+1..t completes a part whose sum after q is
-    s, and bit s of ``reach_gap[q]`` that some such choice leaves a position
-    out.  Going forward, each position is taken whenever a completion
-    remains, and the walk stops at the first return to zero.
+    A list whose prefix sums return to zero before position t splits off
+    its first block {1..q0}: the forward walk below takes each of those
+    positions, since stopping at q0 completes a part that leaves a position
+    out, and breaks at q0.  Otherwise a proper nonempty position set splits
+    the list exactly when its running sums s_q satisfy 0 <= s_q <= S_q at
+    every q and s_t = 0, where S_q are the list's prefix sums.  Going
+    backward, bit s of ``reach[q]`` says that some choice among positions
+    q+1..t completes a part whose sum after q is s, and bit s of
+    ``reach_gap[q]`` that some such choice leaves a position out.  Going
+    forward, each position is taken whenever a completion remains, and the
+    walk stops at the first return to zero.
     """
     entries = xs.entries
     t = len(entries)
@@ -324,15 +335,24 @@ def _search(xs, prof):
             f"the search table for width {t} and height {height} exceeds "
             f"{MAX_SEARCH_BITS} bits"
         )
+    q0 = sums.index(0, 1)
+    if q0 < t:
+        return Decomposition(frozenset(range(1, q0 + 1)))
     reach = [0] * (t + 1)
     reach_gap = [0] * (t + 1)
-    reach[t] = 1
+    done, gap = 1, 0
+    reach[t] = done
     for q in range(t, 1, -1):
-        x, done, gap = entries[q - 1], reach[q], reach_gap[q]
-        took, took_gap = (done >> x, gap >> x) if x > 0 else (done << -x, gap << -x)
+        x = entries[q - 1]
         keep = (2 << sums[q - 1]) - 1  # sums 0..S_{q-1}
-        reach[q - 1] = (took | done) & keep
-        reach_gap[q - 1] = (took_gap | done) & keep
+        if x > 0:
+            gap = ((gap >> x) | done) & keep
+            done = ((done >> x) | done) & keep
+        else:
+            gap = ((gap << -x) | done) & keep
+            done = ((done << -x) | done) & keep
+        reach[q - 1] = done
+        reach_gap[q - 1] = gap
 
     part, s, left_out = [], 0, False
     for q, x in enumerate(entries, 1):
@@ -345,7 +365,7 @@ def _search(xs, prof):
             left_out = True
     if part:
         return Decomposition(frozenset(part))
-    return Irreducible(prof.alphas[0], prof.betas[0], "search")
+    return Irreducible(alpha1, beta1, "search")
 
 
 def reduce(xs: SignedList) -> ReduceOutcome:
@@ -357,11 +377,11 @@ def reduce(xs: SignedList) -> ReduceOutcome:
     raised, before any table is built, when t * (H + 1) exceeds
     ``MAX_SEARCH_BITS``.
     """
-    prof = _catalan_profile(xs)
-    c, w = prof.cost, len(xs)
+    runs, alphas, betas = _catalan_profile(xs)
+    c, w = sum(alphas) + sum(betas), len(xs.entries)
     if c < w:
-        return _checked(xs, _phase_split(xs, prof))
+        return _checked(xs, _phase_split(xs, runs, alphas, betas))
     if c == w:
-        decide = _phase_split if prof.y > 1 else _single_peak
-        return _checked(xs, decide(xs, prof))
-    return _checked(xs, _search(xs, prof))
+        decide = _phase_split if len(alphas) > 1 else _single_peak
+        return _checked(xs, decide(xs, runs, alphas, betas))
+    return _checked(xs, _search(xs, alphas[0], betas[0]))

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from gdp.catalan import (
     Decomposition,
@@ -16,12 +16,46 @@ from gdp.catalan import (
     sublist,
     width,
 )
+from sweeps import catalan_corpus, random_catalan
 
 EX12 = (5, 5, 4, 4, -3, -3, -3, -3, -3, -1, 5, 5, 5, 3, -4, -4, -4, -4, -4)
 
 nonzero_entries = st.lists(
     st.integers(-50, 50).filter(lambda v: v != 0), min_size=0, max_size=30
 )
+# Nonempty lists of one sign: a single run, up or down.
+single_run_entries = st.builds(
+    lambda values, sign: [sign * v for v in values],
+    st.lists(st.integers(1, 50), min_size=1, max_size=30),
+    st.sampled_from((1, -1)),
+)
+
+
+def definitional_runs(entries):
+    """Runs, y, alphas, betas and cost of a nonempty list by definition:
+    maximal blocks of one sign (``itertools.groupby``), the largest
+    absolute value in each, half the number of runs, and the sum of the
+    maxima."""
+    runs, alphas, betas = [], [], []
+    first = 1
+    for positive, block in itertools.groupby(entries, key=lambda e: e > 0):
+        block = list(block)
+        last = first + len(block) - 1
+        runs.append((1 if positive else -1, first, last))
+        (alphas if positive else betas).append(max(map(abs, block)))
+        first = last + 1
+    return tuple(runs), len(runs) // 2, tuple(alphas), tuple(betas), sum(alphas) + sum(betas)
+
+
+def definitional_valid_decomposition(xs, positions):
+    """Both sides nonempty and in range, and both sublists Catalan."""
+    t = len(xs)
+    chosen = set(positions)
+    if not chosen or len(chosen) >= t or not chosen <= set(range(1, t + 1)):
+        return False
+    return is_generalized_catalan(sublist(xs, chosen)) and is_generalized_catalan(
+        sublist(xs, complement(chosen, t))
+    )
 
 
 class TestSignedList:
@@ -129,6 +163,18 @@ class TestRunProfile:
         signs = [sign for sign, _, _ in prof.runs]
         assert all(a != b for a, b in zip(signs, signs[1:]))
 
+    @given(st.one_of(nonzero_entries.filter(bool), single_run_entries))
+    @example([-1])
+    @example([4])
+    @example([-2, 1])
+    @example([1, -1, -2])
+    @example([-3, -3, 2, 5, -1, -1])
+    def test_matches_groupby_reference(self, entries):
+        prof = run_profile(SignedList(tuple(entries)))
+        assert (prof.runs, prof.y, prof.alphas, prof.betas, prof.cost) == (
+            definitional_runs(entries)
+        )
+
     @given(nonzero_entries.filter(bool))
     def test_catalan_lists_have_even_runs_starting_positive(self, entries):
         xs = SignedList(tuple(entries))
@@ -225,6 +271,45 @@ class TestIsValidDecomposition:
         assert is_valid_decomposition(xs, part) == is_valid_decomposition(
             xs, complement(part, t)
         )
+
+
+    @given(st.randoms(), st.data())
+    def test_matches_sublist_reference(self, rng, data):
+        # Interleave two Catalan lists, so that the positions of the first
+        # split the result, then ask about those positions, those positions
+        # repeated, those positions with a few toggled, or any positions in
+        # 0..t+1.
+        a = random_catalan(rng.randint(2, 8), rng)
+        b = random_catalan(rng.randint(2, 8), rng)
+        order = [0] * len(a) + [1] * len(b)
+        rng.shuffle(order)
+        sources = [iter(a), iter(b)]
+        xs = SignedList(tuple(next(sources[k]) for k in order))
+        t = len(xs)
+        split = [q for q, k in enumerate(order, 1) if k == 0]
+        positions = data.draw(
+            st.one_of(
+                st.just(split),
+                st.just(split + split[:2]),
+                st.sets(st.integers(1, t), max_size=3).map(set(split).symmetric_difference),
+                st.lists(st.integers(0, t + 1), max_size=t + 2),
+                st.lists(st.sampled_from([0, *split, t + 1]), max_size=t + 2),
+            )
+        )
+        assert is_valid_decomposition(xs, positions) == (
+            definitional_valid_decomposition(xs, positions)
+        )
+
+    def test_matches_sublist_reference_on_every_small_split(self):
+        # Every position set of every Catalan list of width <= 6 in [-3, 3].
+        for t, rows in catalan_corpus(max_t=6).items():
+            for row in rows.tolist():
+                xs = SignedList(tuple(row))
+                for size in range(t + 1):
+                    for part in itertools.combinations(range(1, t + 1), size):
+                        assert is_valid_decomposition(xs, part) == (
+                            definitional_valid_decomposition(xs, part)
+                        ), (row, part)
 
 
 class TestDecomposition:

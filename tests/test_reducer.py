@@ -332,6 +332,17 @@ class TestReduceDispatch:
             reduce(xs)
         assert time.perf_counter() - start < 0.5
 
+    def test_search_table_guard_precedes_first_block(self):
+        # The prefix sums return to zero at position 2, but the table guard
+        # still refuses the list before the search looks for a first block.
+        xs = SignedList((10**26, -(10**26), 1, -1))
+        with pytest.raises(BudgetExceededError, match="search table"):
+            reduce(xs)
+
+    def test_first_block_witness(self):
+        # Cost 14 > width 6; the prefix sums first return to zero at 2.
+        assert reduce(SignedList((3, -3, 3, -3, 1, -1))) == Decomposition(frozenset({1, 2}))
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             reduce(SignedList(()))
