@@ -60,21 +60,38 @@ class _Value:
     hashed by their fields, printed as ``Name(field=value, ...)``, and
     picklable.
 
-    A subclass names its fields in ``__slots__``, in the order of its
-    ``__init__`` parameters, and sets each one once with
-    ``object.__setattr__``.  Equality and hashing use ``_key()``, every field
-    unless a subclass narrows it; comparing with another class gives
-    ``NotImplemented``.  ``match`` patterns take the fields positionally, and
-    pickling and copying rebuild through ``__init__``.  These are plain
-    classes rather than dataclasses because ``dataclasses`` brings ``inspect``
-    and ``ast`` into every ``gdp`` start-up and compiles each class's methods
-    at import.
+    A subclass names its fields in ``__slots__``.  The shared ``__init__``
+    takes them by position or by name, in that order, and raises TypeError
+    on a missing, extra, unknown or doubled field; a record that uses it
+    gives the field types as class-level annotations.  ``SignedList``,
+    ``Decomposition``, ``Partition`` and ``KostkaPair`` define their own,
+    with the same parameters, to check or convert their input.  Equality and
+    hashing use ``_key()``, every field unless a subclass narrows it;
+    comparing with another class gives ``NotImplemented``.  ``match``
+    patterns take the fields positionally, and pickling and copying rebuild
+    through ``__init__``.  These are plain classes rather than dataclasses
+    because ``dataclasses`` brings ``inspect`` and ``ast`` into every
+    ``gdp`` start-up and compiles each class's methods at import.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
         cls.__match_args__ = cls.__slots__
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self.__slots__
+        given = len(args)
+        if given + len(kwargs) != len(names):
+            raise TypeError(f"{type(self).__name__} takes the fields {names}")
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        for name, value in kwargs.items():
+            if name not in names[given:]:  # not a field, or given by position
+                raise TypeError(
+                    f"{type(self).__name__} has no field {name!r}, or got it twice"
+                )
+            object.__setattr__(self, name, value)
 
     def _fields(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
@@ -145,20 +162,11 @@ class RunProfile(_Value):
     """
 
     __slots__ = ("runs", "y", "alphas", "betas", "cost")
-
-    def __init__(
-        self,
-        runs: tuple[tuple[int, int, int], ...],
-        y: int,
-        alphas: tuple[int, ...],
-        betas: tuple[int, ...],
-        cost: int,
-    ) -> None:
-        object.__setattr__(self, "runs", runs)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "alphas", alphas)
-        object.__setattr__(self, "betas", betas)
-        object.__setattr__(self, "cost", cost)
+    runs: tuple[tuple[int, int, int], ...]
+    y: int
+    alphas: tuple[int, ...]
+    betas: tuple[int, ...]
+    cost: int
 
 
 class Decomposition(_Value):
@@ -255,7 +263,10 @@ def run_profile(xs: SignedList) -> RunProfile:
 
 def cost(xs: SignedList) -> int:
     """Sum of the per-run absolute maxima over all runs."""
-    return run_profile(xs).cost
+    if not xs.entries:
+        raise ValueError("run profile of an empty list")
+    _, alphas, betas = _runs(xs.entries)
+    return sum(alphas) + sum(betas)
 
 
 def width(xs: SignedList) -> int:

@@ -152,14 +152,9 @@ def cmd_kostka(args, operands) -> int:
             print(f"rest: lambda={right.lam.format()} mu={right.mu.format()}")
         return EXIT_OK
     if args.json:
-        record = {
-            "kind": "irreducible",
-            "alpha1": outcome.alpha1,
-            "beta1": outcome.beta1,
-            "basis": outcome.basis,
-            "lambda_rect": list(outcome.lam_rect) if outcome.lam_rect else None,
-            "mu_rect": list(outcome.mu_rect) if outcome.mu_rect else None,
-        }
+        record, _ = _outcome_record(outcome)
+        record["lambda_rect"] = list(outcome.lam_rect) if outcome.lam_rect else None
+        record["mu_rect"] = list(outcome.mu_rect) if outcome.mu_rect else None
         print(json.dumps(record))
     else:
         fields = ["kind=irreducible"]

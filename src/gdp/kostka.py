@@ -167,12 +167,8 @@ class ColumnSplit(_Value):
     """
 
     __slots__ = ("columns", "sides")
-
-    def __init__(
-        self, columns: frozenset[int], sides: tuple[KostkaPair, KostkaPair]
-    ) -> None:
-        object.__setattr__(self, "columns", columns)
-        object.__setattr__(self, "sides", sides)
+    columns: frozenset[int]
+    sides: tuple[KostkaPair, KostkaPair]
 
     def _key(self) -> tuple:
         return (self.columns,)
@@ -190,20 +186,11 @@ class KostkaIrreducible(_Value):
     """
 
     __slots__ = ("alpha1", "beta1", "lam_rect", "mu_rect", "basis")
-
-    def __init__(
-        self,
-        alpha1: int | None,
-        beta1: int | None,
-        lam_rect: tuple[int, int] | None,
-        mu_rect: tuple[int, int] | None,
-        basis: str,
-    ) -> None:
-        object.__setattr__(self, "alpha1", alpha1)
-        object.__setattr__(self, "beta1", beta1)
-        object.__setattr__(self, "lam_rect", lam_rect)
-        object.__setattr__(self, "mu_rect", mu_rect)
-        object.__setattr__(self, "basis", basis)
+    alpha1: int | None
+    beta1: int | None
+    lam_rect: tuple[int, int] | None
+    mu_rect: tuple[int, int] | None
+    basis: str
 
 
 def column_vector(kp: KostkaPair) -> tuple[int, ...]:

@@ -31,10 +31,11 @@ phase to overflow its run maximum whenever cost < width.
 
 Each public decider validates its input and analyses its runs once, with
 the private run kernel ``catalan._runs``, then passes the list and the
-kernel's runs and run maxima to one private path per regime; none builds a
-:class:`RunProfile`.  Every decomposition is checked before it is returned,
-by code that also runs under ``python -O``; a failed check raises
-RuntimeError.
+kernel's runs and run maxima to one private path per regime; those walk
+the greedy reorderings through the private kernels of ``staircase``, so no
+decider builds a record but its outcome.  Every decomposition is checked
+before it is returned, by code that also runs under ``python -O``; a failed
+check raises RuntimeError.
 """
 from __future__ import annotations
 
@@ -51,7 +52,7 @@ from .catalan import (
     is_valid_decomposition,
     require_catalan,
 )
-from .staircase import GreedyPermutation, _greedy_order, build_sigma
+from .staircase import GreedyPermutation, _greedy_order, _sigma_order
 
 # The cost > width search keeps two bitsets of at most H + 1 bits for each of
 # the t positions; wider tables are refused before any is built.
@@ -68,11 +69,9 @@ class Irreducible(_Value):
     """
 
     __slots__ = ("alpha1", "beta1", "basis")
-
-    def __init__(self, alpha1: int, beta1: int, basis: str) -> None:
-        object.__setattr__(self, "alpha1", alpha1)
-        object.__setattr__(self, "beta1", beta1)
-        object.__setattr__(self, "basis", basis)
+    alpha1: int
+    beta1: int
+    basis: str
 
 
 ReduceOutcome = Decomposition | Irreducible
@@ -86,22 +85,12 @@ class PhaseProfile(_Value):
     """
 
     __slots__ = ("gammas", "deltas", "up_phases", "down_phases", "u_counts", "d_counts")
-
-    def __init__(
-        self,
-        gammas: tuple[int, ...],
-        deltas: tuple[int, ...],
-        up_phases: tuple[tuple[int, int], ...],
-        down_phases: tuple[tuple[int, int], ...],
-        u_counts: tuple[int, ...],
-        d_counts: tuple[int, ...],
-    ) -> None:
-        object.__setattr__(self, "gammas", gammas)
-        object.__setattr__(self, "deltas", deltas)
-        object.__setattr__(self, "up_phases", up_phases)
-        object.__setattr__(self, "down_phases", down_phases)
-        object.__setattr__(self, "u_counts", u_counts)
-        object.__setattr__(self, "d_counts", d_counts)
+    gammas: tuple[int, ...]
+    deltas: tuple[int, ...]
+    up_phases: tuple[tuple[int, int], ...]
+    down_phases: tuple[tuple[int, int], ...]
+    u_counts: tuple[int, ...]
+    d_counts: tuple[int, ...]
 
 
 def phase_profile(p: GreedyPermutation, prof: RunProfile) -> PhaseProfile:
@@ -247,10 +236,10 @@ def _y1_zero_multiset(ups, downs):
     the steps between the least pair, which starts at step 0 when the walk
     returns to zero.
     """
-    sig = build_sigma(SignedList(tuple(sorted(ups)) + tuple(downs)))
-    walk = (0,) + sig.running_sums[:-1]  # M_0 .. M_{t-1}
+    _, steps = _sigma_order(tuple(sorted(ups)) + tuple(downs))
+    walk = accumulate(steps[:-1], initial=0)  # M_0 .. M_{t-1}
     q1, q2 = _lex_least_equal_pair(enumerate(walk))
-    return sig.reordered.entries[q1:q2]
+    return steps[q1:q2]
 
 
 def _leftmost_positions(xs, values):

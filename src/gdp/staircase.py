@@ -15,8 +15,8 @@ written in one-line notation:
     Same greedy flavour but the branch looks at the current running sum
     rather than ahead: take the next negative entry while the running sum is
     nonnegative, otherwise the next positive one.  Defined for any list with
-    zero total; the running sums may go negative.  Used for the single-peak
-    equality case of the reducer.
+    zero total; the running sums may go negative.  Its private kernel,
+    ``_sigma_order``, serves the reducer's single-peak equality case.
 """
 from __future__ import annotations
 
@@ -33,16 +33,9 @@ class GreedyPermutation(_Value):
     """
 
     __slots__ = ("one_line", "reordered", "running_sums")
-
-    def __init__(
-        self,
-        one_line: tuple[int, ...],
-        reordered: SignedList,
-        running_sums: tuple[int, ...],
-    ) -> None:
-        object.__setattr__(self, "one_line", one_line)
-        object.__setattr__(self, "reordered", reordered)
-        object.__setattr__(self, "running_sums", running_sums)
+    one_line: tuple[int, ...]
+    reordered: SignedList
+    running_sums: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.one_line)
@@ -100,30 +93,29 @@ def build_sigma(xs: SignedList) -> GreedyPermutation:
     is never exhausted.  Raises ValueError on empty or nonzero-sum input.
     """
     entries = xs.entries
-    t = len(entries)
-    if t == 0:
+    if not entries:
         raise ValueError("cannot reorder an empty list")
     if sum(entries) != 0:
         raise ValueError("input list must have zero total sum")
-    negs = [i for i, e in enumerate(entries) if e < 0]
-    poss = [i for i, e in enumerate(entries) if e > 0]
-    ni, pi = 0, 0
-    if entries[0] > 0:
-        pi = 1
-    else:
-        ni = 1
-    one_line = [1]
+    one_line, steps = _sigma_order(entries)
+    return GreedyPermutation(one_line, SignedList(steps), tuple(accumulate(steps)))
+
+
+def _sigma_order(entries: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The positions, 1-based, in the order :func:`build_sigma` visits them,
+    and their entries, for nonzero entries already known to be nonempty
+    with zero total."""
+    negs = iter([pos for pos, e in enumerate(entries, 1) if e < 0])
+    poss = iter([pos for pos, e in enumerate(entries, 1) if e > 0])
+    ext = (0,) + entries  # ext[pos]: the entry at 1-based position pos
+    next(poss if entries[0] > 0 else negs)  # step 1 takes position 1
+    order = [1]
     running = entries[0]
-    sums = [running]
-    for _ in range(t - 1):
+    for _ in range(len(entries) - 1):
         if running >= 0:
-            nxt = negs[ni]
-            ni += 1
+            nxt = next(negs)
         else:
-            nxt = poss[pi]
-            pi += 1
-        running += entries[nxt]
-        one_line.append(nxt + 1)
-        sums.append(running)
-    reordered = SignedList(tuple(entries[p - 1] for p in one_line))
-    return GreedyPermutation(tuple(one_line), reordered, tuple(sums))
+            nxt = next(poss)
+        running += ext[nxt]
+        order.append(nxt)
+    return tuple(order), tuple(map(ext.__getitem__, order))

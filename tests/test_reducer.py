@@ -3,6 +3,9 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
+from itertools import product
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -27,7 +30,7 @@ from gdp.reducer import (
     reduce_strict,
     reduce_y1,
 )
-from gdp.staircase import build_pi
+from gdp.staircase import build_pi, build_sigma
 
 from sweeps import (
     catalan_corpus,
@@ -37,6 +40,58 @@ from sweeps import (
 )
 
 EX12 = (5, 5, 4, 4, -3, -3, -3, -3, -3, -1, 5, 5, 5, 3, -4, -4, -4, -4, -4)
+
+
+def single_peak_equality_lists():
+    """Every single-peak list with cost = width, entries in [-4, 4] and at
+    most four entries per run, as tuples: widths are alpha + beta <= 8."""
+    lists = []
+    for n_up in range(1, 5):
+        for n_down in range(1, 5):
+            for ups in product(range(1, 5), repeat=n_up):
+                for downs in product(range(-4, 0), repeat=n_down):
+                    entries = ups + downs
+                    if sum(entries) == 0 and cost(SignedList(entries)) == len(entries):
+                        lists.append(entries)
+    return lists
+
+
+def sigma_cut_values(ups, downs):
+    """Values between the least equal pair of running sums M_0 .. M_{t-1}
+    of the public ``build_sigma`` record of the sorted up-run and the
+    down-run."""
+    sig = build_sigma(SignedList(tuple(sorted(ups)) + tuple(downs)))
+    walk = (0,) + sig.running_sums[:-1]
+    q1, q2 = min(
+        (i, j) for j in range(len(walk)) for i in range(j) if walk[i] == walk[j]
+    )
+    return sig.reordered.entries[q1:q2]
+
+
+def single_peak_reference(entries):
+    """The single-peak witness, leftmost positions of its values, or None
+    when the entries are the coprime maxima alone."""
+    k = next(q for q, e in enumerate(entries) if e < 0)
+    ups, downs = entries[:k], entries[k:]
+    alpha, beta = max(ups), -min(downs)
+    g = gcd(alpha, beta)
+    if min(ups) < alpha:
+        values = sigma_cut_values(ups, downs)
+    elif max(downs) > -beta:
+        mirror = tuple(-e for e in reversed(entries))  # up-run: negated downs
+        k = len(downs)
+        values = [-v for v in sigma_cut_values(mirror[:k], mirror[k:])]
+    elif g == 1:
+        return None
+    else:
+        values = [alpha] * (beta // g) + [-beta] * (alpha // g)
+    need = Counter(values)
+    part = set()
+    for pos, e in enumerate(entries, 1):
+        if need[e]:
+            need[e] -= 1
+            part.add(pos)
+    return frozenset(part)
 
 
 class TestPhaseProfile:
@@ -216,58 +271,39 @@ class TestReduceY1:
 
     def test_matches_bruteforce_on_all_small_equality_instances(self):
         # Exhaustive over single-peak equality instances with entries in
-        # [-4, 4]: widths are alpha+beta <= 8.
-        from itertools import product
-
-        checked = 0
-        for n_up in range(1, 5):
-            for n_down in range(1, 5):
-                for ups in product(range(1, 5), repeat=n_up):
-                    for downs in product(range(-4, 0), repeat=n_down):
-                        entries = ups + downs
-                        if sum(entries) != 0:
-                            continue
-                        xs = SignedList(entries)
-                        if cost(xs) != width(xs):
-                            continue
-                        checked += 1
-                        out = reduce_y1(xs)
-                        witness = reducible_bruteforce(xs)
-                        if isinstance(out, Irreducible):
-                            assert witness is None
-                        else:
-                            assert is_valid_decomposition(xs, out.part)
-                            assert witness is not None
-        assert checked > 50
+        # [-4, 4]: the verdict matches the brute force, and the witness is
+        # the one the public build_sigma record gives (see
+        # single_peak_reference).
+        lists = single_peak_equality_lists()
+        for entries in lists:
+            xs = SignedList(entries)
+            out = reduce_y1(xs)
+            witness = reducible_bruteforce(xs)
+            reference = single_peak_reference(entries)
+            if isinstance(out, Irreducible):
+                assert witness is None and reference is None, entries
+            else:
+                assert is_valid_decomposition(xs, out.part)
+                assert witness is not None
+                assert out.part == reference, entries
+        assert len(lists) > 50
 
     def test_sigma_running_sum_bounds(self):
         # On a single-peak equality instance whose up-run is sorted so the
         # minimum comes first, the greedy walk stays inside
         # [1 - beta, alpha - 1] unless it returns to zero early.
-        from itertools import product
-
-        from gdp.staircase import build_sigma
-
         checked = 0
-        for n_up in range(1, 5):
-            for n_down in range(1, 5):
-                for ups in product(range(1, 5), repeat=n_up):
-                    for downs in product(range(-4, 0), repeat=n_down):
-                        entries = ups + downs
-                        if sum(entries) != 0:
-                            continue
-                        xs = SignedList(entries)
-                        if cost(xs) != width(xs):
-                            continue
-                        alpha, beta = max(ups), max(-d for d in downs)
-                        if min(ups) == alpha:
-                            continue
-                        arranged = SignedList(tuple(sorted(ups)) + downs)
-                        sums = build_sigma(arranged).running_sums
-                        if 0 in sums[: len(entries) - 1]:
-                            continue
-                        checked += 1
-                        assert all(1 - beta <= m <= alpha - 1 for m in sums)
+        for entries in single_peak_equality_lists():
+            k = next(q for q, e in enumerate(entries) if e < 0)
+            ups, downs = entries[:k], entries[k:]
+            alpha, beta = max(ups), max(-d for d in downs)
+            if min(ups) == alpha:
+                continue
+            sums = build_sigma(SignedList(tuple(sorted(ups)) + downs)).running_sums
+            if 0 in sums[: len(entries) - 1]:
+                continue
+            checked += 1
+            assert all(1 - beta <= m <= alpha - 1 for m in sums)
         assert checked > 10
 
     def test_zero_sum_iff_catalan_for_single_peak_sublists(self):
@@ -356,6 +392,33 @@ class TestReduceDispatch:
         out = reduce(xs)
         assert isinstance(out, Decomposition)
         assert is_valid_decomposition(xs, out.part)
+
+
+def test_deciders_build_no_records(monkeypatch):
+    # The deciders walk the private kernels: with the record types swapped
+    # for stubs that raise, reduce and reduce_y1 still decide the exhaustive
+    # single-peak set, and reduce the width <= 8 corpus.
+    single_peak = [SignedList(e) for e in single_peak_equality_lists()]
+    corpus = [
+        SignedList(tuple(map(int, row)))
+        for rows in catalan_corpus(8).values() for row in rows
+    ]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a decider built a record")
+
+    for target in (
+        "gdp.staircase.GreedyPermutation",
+        "gdp.staircase.SignedList",
+        "gdp.reducer.SignedList",
+        "gdp.reducer.PhaseProfile",
+        "gdp.catalan.RunProfile",
+    ):
+        monkeypatch.setattr(target, refuse)
+    for xs in single_peak:
+        assert reduce(xs) == reduce_y1(xs)
+    for xs in corpus:
+        reduce(xs)
 
 
 # Under ``python -O``: with the witness checks patched to reject everything,

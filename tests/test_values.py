@@ -60,6 +60,10 @@ CASES = [
      "basis='single-column')"),
 ]
 
+# The records that build through the shared _Value constructor.
+PLAIN_RECORDS = (RunProfile, GreedyPermutation, Irreducible, PhaseProfile,
+                 ColumnSplit, KostkaIrreducible)
+
 
 @pytest.mark.parametrize(
     "cls, fields, name, other, text", CASES, ids=[case[0].__name__ for case in CASES]
@@ -84,6 +88,22 @@ def test_value_contract(cls, fields, name, other, text):
     for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value),
                    copy.copy(value)):
         assert type(copied) is cls and copied == value and repr(copied) == text
+    # A call that Python would refuse for an explicit signature is refused:
+    # an extra value, an unknown name, a field given by position and by name.
+    first, *_ = fields
+    with pytest.raises(TypeError):
+        cls(*fields.values(), other)
+    with pytest.raises(TypeError):
+        cls(**fields, no_such_field=other)
+    with pytest.raises(TypeError):
+        cls(fields[first], **fields)
+    # A plain record has no default, so leaving any field out is refused;
+    # only the four records that check or convert their input define __init__.
+    assert ("__init__" in vars(cls)) == (cls not in PLAIN_RECORDS)
+    if cls in PLAIN_RECORDS:
+        for field in fields:
+            with pytest.raises(TypeError):
+                cls(**{k: v for k, v in fields.items() if k != field})
 
 
 def test_column_split_compares_columns_only():
