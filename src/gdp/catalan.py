@@ -253,11 +253,7 @@ def run_profile(xs: SignedList) -> RunProfile:
         raise ValueError("run profile of an empty list")
     runs, alphas, betas = _runs(entries)
     return RunProfile(
-        runs=tuple(runs),
-        y=len(runs) // 2,
-        alphas=tuple(alphas),
-        betas=tuple(betas),
-        cost=sum(alphas) + sum(betas),
+        tuple(runs), len(runs) // 2, tuple(alphas), tuple(betas), sum(alphas) + sum(betas)
     )
 
 

@@ -10,8 +10,9 @@ The bridge to lattice walks: the column vector x_j = mu'_j - lambda'_j
 (conjugates, 1 <= j <= lambda_1) sums to zero, and its prefix sums are
 nonnegative exactly when lambda dominates mu.  A zero column already splits
 the pair on its own; otherwise the column vector is a signed list whose
-decompositions are exactly the column splits, so the reducer decides the
-question constructively.
+decompositions are exactly the column splits, which ``reducer._decide``
+finds: :class:`KostkaPair` has validated the vector, and ``_sides`` checks
+the split.
 
 Costs, for a partition with largest part lambda_1 and l rows and a column
 set C: a conjugate takes O(lambda_1 + l); restricting to C, and so checking
@@ -31,8 +32,8 @@ from functools import partial
 from itertools import accumulate
 from operator import ge, sub, index as _as_int
 
-from .catalan import BudgetExceededError, SignedList, _Value, parse_ints
-from .reducer import Irreducible, reduce
+from .catalan import BudgetExceededError, _Value, parse_ints
+from .reducer import Irreducible, _decide
 
 MAX_COLUMNS = 2**20  # largest part (column vector width) conjugate takes
 
@@ -268,14 +269,16 @@ def common_reduce(kp: KostkaPair) -> ColumnSplit | KostkaIrreducible:
 
     A zero column of the column vector splits on its own (the lowest such
     column is returned).  Otherwise the column vector is a zero-free signed
-    list whose decompositions are exactly the column splits, and the reducer
-    settles it.  The split's two sides are built once, to check it, and the
-    returned :class:`ColumnSplit` carries them; RuntimeError is raised when
-    the check fails.  A split always exists when lambda_1 > length(mu), and
-    when lambda_1 = length(mu) unless both partitions are rectangles with
-    coprime widths.  BudgetExceededError is raised, by the conjugate kernel,
-    for a pair wider than ``MAX_COLUMNS`` columns, and passes through from the
-    reducer when the column vector's search table would be too large.
+    list whose decompositions are exactly the column splits, and the
+    reducer's core ``_decide`` settles it; the pair's dominance check has
+    validated it.  :func:`_sides` builds the split's two sides once, as the
+    one check of the split, and the returned :class:`ColumnSplit` carries
+    them; RuntimeError is raised when the check fails.  A split always
+    exists when lambda_1 > length(mu), and when lambda_1 = length(mu) unless
+    both partitions are rectangles with coprime widths.  BudgetExceededError
+    is raised, by the conjugate kernel, for a pair wider than ``MAX_COLUMNS``
+    columns, and passes through from the reducer when the column vector's
+    search table would be too large.
     """
     if kp.size < 1:
         raise ValueError("the pair must have at least one cell")
@@ -289,7 +292,7 @@ def common_reduce(kp: KostkaPair) -> ColumnSplit | KostkaIrreducible:
     if 0 in vec:
         columns = frozenset({vec.index(0) + 1})
     else:
-        outcome = reduce(SignedList(vec))
+        outcome = _decide(vec)
         if isinstance(outcome, Irreducible):
             return KostkaIrreducible(
                 outcome.alpha1,

@@ -29,13 +29,13 @@ Counting negative steps per up-phase (u_i) and positive follow-ups per
 down-phase (d_j) gives u_1 + ... + u_y + d_1 + ... + d_y = t, which forces a
 phase to overflow its run maximum whenever cost < width.
 
-Each public decider validates its input and analyses its runs once, with
-the private run kernel ``catalan._runs``, then passes the list and the
-kernel's runs and run maxima to one private path per regime; those walk
-the greedy reorderings through the private kernels of ``staircase``, so no
-decider builds a record but its outcome.  Every decomposition is checked
-before it is returned, by code that also runs under ``python -O``; a failed
-check raises RuntimeError.
+One private core, :func:`_decide`, runs the run kernel ``catalan._runs``
+once, names the regime and passes the entries, runs and run maxima to that
+regime's private path, which walks the private kernels of ``staircase``; so
+no decider builds a record but its outcome.  Each public decider is one
+call to :func:`_checked_decision`, which validates the list, decides it and
+checks a decomposition by code that also runs under ``python -O`` (a failed
+check raises RuntimeError).  ``kostka.common_reduce`` calls :func:`_decide`.
 """
 from __future__ import annotations
 
@@ -103,24 +103,30 @@ def phase_profile(p: GreedyPermutation, prof: RunProfile) -> PhaseProfile:
     negatives in order (order transfer), so no other position of a run is
     visited earlier, or later.
     """
-    return PhaseProfile(*map(tuple, _phases(p.one_line, p.reordered.entries, prof.runs)))
+    return PhaseProfile(*map(tuple, _phases(p.one_line, prof.runs)))
 
 
-def _phases(order, steps, runs):
+def _phases(order, runs):
     """Gammas, deltas, up- and down-phase windows and their counts, as
-    lists, for the greedy step ``order`` (1-based positions) whose entries
-    are ``steps``, given the list's ``runs``; see :func:`phase_profile`."""
+    lists, for the greedy step ``order`` (1-based positions), given the
+    list's ``runs``; see :func:`phase_profile`.
+
+    By order transfer the steps that up-phase i does not count, its
+    positive ones, are exactly the entries of up-run i; those that down-
+    phase j does not count, the negative steps among lo+1..hi+1, are
+    exactly the entries of down-run j.  So each count is the window's
+    length less its run's.
+    """
     t = len(order)
     step_of = dict(zip(order, range(1, t + 1)))  # position -> visiting step
-    gammas = [step_of[lo] for sign, lo, _ in runs if sign > 0]
-    deltas = [step_of[hi] for sign, _, hi in runs if sign < 0]
+    ups = [(lo, hi) for sign, lo, hi in runs if sign > 0]
+    downs = [(lo, hi) for sign, lo, hi in runs if sign < 0]
+    gammas = [step_of[lo] for lo, _ in ups]
+    deltas = [step_of[hi] for _, hi in downs]
     up_phases = list(zip(gammas, [g - 1 for g in gammas[1:]] + [t]))
     down_phases = list(zip([0] + deltas[:-1], [d - 1 for d in deltas]))
-    # negs[h]: negative steps among steps 1..h
-    negs = list(accumulate(map((0).__gt__, steps), initial=0))
-    u_counts = [negs[hi] - negs[lo - 1] for lo, hi in up_phases]
-    # positive steps among lo+1..hi+1, the follow-ups of steps lo..hi
-    d_counts = [hi - lo + 1 - (negs[hi + 1] - negs[lo]) for lo, hi in down_phases]
+    u_counts = [hi - lo - (b - a) for (lo, hi), (a, b) in zip(up_phases, ups)]
+    d_counts = [hi - lo - (b - a) for (lo, hi), (a, b) in zip(down_phases, downs)]
     return gammas, deltas, up_phases, down_phases, u_counts, d_counts
 
 
@@ -155,28 +161,7 @@ def _pigeonhole_split(order, keyed):
     return Decomposition(frozenset(order[h1:h2]))
 
 
-def _checked(xs, outcome):
-    """Return a decider's outcome after a check that also runs under
-    ``python -O``: anything but an irreducibility certificate must be a
-    valid decomposition."""
-    if isinstance(outcome, Irreducible):
-        return outcome
-    if outcome is None or not is_valid_decomposition(xs, outcome.part):
-        raise RuntimeError(
-            f"internal error: the decider gave {outcome} for {xs.format()}, "
-            "which is not a valid decomposition"
-        )
-    return outcome
-
-
-def _catalan_profile(xs):
-    """Validate a decider's input once and analyse its runs: the run
-    kernel's ``(runs, alphas, betas)``."""
-    require_catalan(xs)
-    return _runs(xs.entries)
-
-
-def _phase_split(xs, runs, alphas, betas):
+def _phase_split(entries, runs, alphas, betas):
     """Witness for cost < width, where the counting identity forces an
     overfull phase, or for cost = width with more than one peak.
 
@@ -189,9 +174,9 @@ def _phase_split(xs, runs, alphas, betas):
     cut is proper because the first up-phase ends before step t when there
     is a second up-run.
     """
-    order, steps = _greedy_order(xs.entries)
+    order, steps = _greedy_order(entries)
     walk = tuple(accumulate(steps, initial=0))  # walk[h]: running sum after h steps
-    _, _, up_phases, down_phases, u_counts, d_counts = _phases(order, steps, runs)
+    _, _, up_phases, down_phases, u_counts, d_counts = _phases(order, runs)
     for (lo, hi), u, alpha in zip(up_phases, u_counts, alphas):
         if u > alpha:
             return _pigeonhole_split(
@@ -210,20 +195,12 @@ def _phase_split(xs, runs, alphas, betas):
 
 def reduce_strict(xs: SignedList) -> Decomposition:
     """Decompose a generalized Catalan list with cost < width."""
-    runs, alphas, betas = _catalan_profile(xs)
-    if sum(alphas) + sum(betas) >= len(xs):
-        raise ValueError("cost must be strictly less than width")
-    return _checked(xs, _phase_split(xs, runs, alphas, betas))
+    return _checked_decision(xs, "cost < width")
 
 
 def reduce_equality(xs: SignedList) -> Decomposition:
     """Decompose a generalized Catalan list with cost = width and > 1 peak."""
-    runs, alphas, betas = _catalan_profile(xs)
-    if sum(alphas) + sum(betas) != len(xs):
-        raise ValueError("cost must equal width")
-    if len(alphas) <= 1:
-        raise ValueError("the list must have more than one up-run")
-    return _checked(xs, _phase_split(xs, runs, alphas, betas))
+    return _checked_decision(xs, "cost = width with several peaks")
 
 
 def _y1_zero_multiset(ups, downs):
@@ -242,25 +219,25 @@ def _y1_zero_multiset(ups, downs):
     return steps[q1:q2]
 
 
-def _leftmost_positions(xs, values):
+def _leftmost_positions(entries, values):
     """Positions realizing a multiset of values, given in any order,
     leftmost occurrences first."""
     need = {}
     for v in values:
         need[v] = need.get(v, 0) + 1
     part = set()
-    for pos, e in enumerate(xs.entries, 1):
+    for pos, e in enumerate(entries, 1):
         if need.get(e, 0) > 0:
             need[e] -= 1
             part.add(pos)
     return frozenset(part)
 
 
-def _single_peak(xs, runs, alphas, betas):
+def _single_peak(entries, runs, alphas, betas):
     """Witness or certificate for cost = width with one peak (see
     :func:`reduce_y1`)."""
     k = runs[0][2]  # the up-run is positions 1..k, the down-run the rest
-    ups, downs = xs.entries[:k], xs.entries[k:]
+    ups, downs = entries[:k], entries[k:]
     alpha, beta = alphas[0], betas[0]
 
     if any(v < alpha for v in ups):
@@ -279,7 +256,7 @@ def _single_peak(xs, runs, alphas, betas):
             return Irreducible(alpha, beta, "coprime")
         values = [alpha] * (beta // g) + [-beta] * (alpha // g)
 
-    return Decomposition(_leftmost_positions(xs, values))
+    return Decomposition(_leftmost_positions(entries, values))
 
 
 def reduce_y1(xs: SignedList) -> ReduceOutcome:
@@ -290,18 +267,13 @@ def reduce_y1(xs: SignedList) -> ReduceOutcome:
     decompositions are therefore value multisets and position choices inside
     each run are free (leftmost occurrences are used).
     """
-    runs, alphas, betas = _catalan_profile(xs)
-    if sum(alphas) + sum(betas) != len(xs):
-        raise ValueError("cost must equal width")
-    if len(alphas) != 1:
-        raise ValueError("the list must have exactly one up-run")
-    return _checked(xs, _single_peak(xs, runs, alphas, betas))
+    return _checked_decision(xs, "cost = width with one peak")
 
 
-def _search(xs, alpha1, beta1):
+def _search(entries, runs, alphas, betas):
     """Lexicographically least decomposition of a list, or a certificate
     that there is none; the same witness as ``oracle.reducible_bruteforce``.
-    ``alpha1`` and ``beta1``, the first-run maxima, go into the certificate.
+    The first-run maxima go into the certificate.
 
     A list whose prefix sums return to zero before position t splits off
     its first block {1..q0}: the forward walk below takes each of those
@@ -315,7 +287,6 @@ def _search(xs, alpha1, beta1):
     forward, each position is taken whenever a completion remains, and the
     walk stops at the first return to zero.
     """
-    entries = xs.entries
     t = len(entries)
     sums = list(accumulate(entries, initial=0))
     height = max(sums)
@@ -354,23 +325,51 @@ def _search(xs, alpha1, beta1):
             left_out = True
     if part:
         return Decomposition(frozenset(part))
-    return Irreducible(alpha1, beta1, "search")
+    return Irreducible(alphas[0], betas[0], "search")
+
+
+def _decide(entries, regime=None):
+    """Unchecked outcome of the private path for the nonzero entries of a
+    nonempty generalized Catalan list.  The one place that names the regime:
+    cost < width; cost = width with several peaks (up-runs); cost = width
+    with one peak; or cost > width.  When ``regime`` names another one,
+    ValueError is raised before any path runs."""
+    runs, alphas, betas = _runs(entries)
+    c, w = sum(alphas) + sum(betas), len(entries)
+    if c < w:
+        found, path = "cost < width", _phase_split
+    elif c > w:
+        found, path = "cost > width", _search
+    elif len(alphas) > 1:
+        found, path = "cost = width with several peaks", _phase_split
+    else:
+        found, path = "cost = width with one peak", _single_peak
+    if regime is not None and regime != found:
+        raise ValueError(f"the list has {found}; this decider needs {regime}")
+    return path(entries, runs, alphas, betas)
+
+
+def _checked_decision(xs, regime=None):
+    """The public deciders' boundary: validate the list once, decide it
+    with :func:`_decide`, and check a decomposition by code that also runs
+    under ``python -O`` (RuntimeError when it fails)."""
+    require_catalan(xs)
+    outcome = _decide(xs.entries, regime)
+    if isinstance(outcome, Irreducible) or is_valid_decomposition(xs, outcome.part):
+        return outcome
+    raise RuntimeError(
+        f"internal error: the decider gave {outcome} for {xs.format()}, "
+        "which is not a valid decomposition"
+    )
 
 
 def reduce(xs: SignedList) -> ReduceOutcome:
     """Decide reducibility of a nonempty generalized Catalan list.
 
-    Dispatches on cost versus width.  The cost > width regime has no
+    Dispatches on the regime (:func:`_decide`).  The cost > width regime has no
     structural criterion and is settled by a search in O(t * H) time and
     bits, for width t and largest prefix sum H; BudgetExceededError is
     raised, before any table is built, when t * (H + 1) exceeds
     ``MAX_SEARCH_BITS``.
     """
-    runs, alphas, betas = _catalan_profile(xs)
-    c, w = sum(alphas) + sum(betas), len(xs.entries)
-    if c < w:
-        return _checked(xs, _phase_split(xs, runs, alphas, betas))
-    if c == w:
-        decide = _phase_split if len(alphas) > 1 else _single_peak
-        return _checked(xs, decide(xs, runs, alphas, betas))
-    return _checked(xs, _search(xs, alphas[0], betas[0]))
+    return _checked_decision(xs)

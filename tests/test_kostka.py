@@ -6,7 +6,8 @@ from hypothesis import given, strategies as st
 
 from sweeps import random_kostka_pairs
 
-from gdp.catalan import BudgetExceededError, ParseError
+import gdp.reducer
+from gdp.catalan import BudgetExceededError, ParseError, SignedList
 from gdp.kostka import (
     MAX_COLUMNS,
     ColumnSplit,
@@ -327,6 +328,30 @@ class TestCommonReduce:
                 assert out.sides == (left, right)
             else:
                 assert not column_split_exists(kp)
+
+    def test_validates_and_checks_once(self, monkeypatch):
+        # KostkaPair's dominance check validates the column vector and
+        # _sides checks the split: with the reducer's own validation and
+        # witness check, and SignedList, made to raise, every dominance pair
+        # of size <= 10 in <= 4 rows is still decided.
+        def refuse(*args, **kwargs):
+            raise AssertionError("common_reduce validated or checked twice")
+
+        monkeypatch.setattr(gdp.reducer, "require_catalan", refuse)
+        monkeypatch.setattr(gdp.reducer, "is_valid_decomposition", refuse)
+        monkeypatch.setattr(SignedList, "__init__", refuse)
+        for n in range(1, 11):
+            parts = [Partition(p) for p in partitions_of(n, 4)]
+            for lam, mu in itertools.product(parts, repeat=2):
+                if not dominates(lam, mu):
+                    continue
+                kp = KostkaPair(lam, mu)
+                out = common_reduce(kp)
+                if isinstance(out, ColumnSplit):
+                    assert verify_column_split(kp, out.columns)
+                    assert out.sides == split_pair(kp, out.columns)
+                else:
+                    assert not column_split_exists(kp)
 
     def test_wide_column_vector(self, wide_pair):
         vec = (3, -3) + (9, 9, 9, -8, -8, -8, -3) * 3 + (1, -1)

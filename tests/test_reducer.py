@@ -421,6 +421,31 @@ def test_deciders_build_no_records(monkeypatch):
         reduce(xs)
 
 
+def test_regime_deciders_refuse_before_any_path():
+    # cost > width with a search table far past its budget: each regime
+    # decider refuses with ValueError before the search could raise.
+    huge = SignedList((10**30, -10**30))
+    for decider in (reduce_strict, reduce_equality, reduce_y1):
+        with pytest.raises(ValueError, match="cost > width"):
+            decider(huge)
+    # Over the width <= 8 corpus, a list with cost <= width is accepted by
+    # exactly one regime decider, which answers as reduce does; a list with
+    # cost > width is refused by all three.
+    for rows in catalan_corpus(8).values():
+        for row in rows:
+            xs = SignedList(tuple(map(int, row)))
+            answers = []
+            for decider in (reduce_strict, reduce_equality, reduce_y1):
+                try:
+                    answers.append(decider(xs))
+                except ValueError:
+                    pass
+            if cost(xs) <= width(xs):
+                assert answers == [reduce(xs)], xs
+            else:
+                assert answers == [], xs
+
+
 # Under ``python -O``: with the witness checks patched to reject everything,
 # every decider and common_reduce must raise RuntimeError rather than return
 # an unchecked decomposition or column split.
