@@ -2,8 +2,16 @@
 
 Everything here trades speed for transparent correctness: plain enumerations
 in a fixed deterministic (lexicographic) order, guarded by fixed limits.
+
+The signed-list half scans position sets.  The Kostka half rests on one
+partition enumerator, :func:`partitions_of`, and one pair difference: the
+brute force looks for a pair q that leaves a valid pair p - q, and the
+Hilbert basis keeps a pair when no smaller member does (the subtraction
+test, see :func:`enumerate_hilbert_basis`).
 """
 from __future__ import annotations
+
+from operator import sub
 
 from .catalan import BudgetExceededError, Decomposition, SignedList
 from .kostka import KostkaPair, Partition, dominates
@@ -73,64 +81,6 @@ def all_catalan_subsets(xs: SignedList) -> list[tuple[int, ...]]:
     return [(), *_catalan_sets(xs)]
 
 
-def _subpartitions(parts):
-    """All componentwise-bounded weakly decreasing tuples, lexicographic."""
-    out = []
-
-    def rec(i, prev, acc):
-        if i == len(parts):
-            out.append(tuple(acc))
-            return
-        for v in range(0, min(parts[i], prev) + 1):
-            acc.append(v)
-            rec(i + 1, v, acc)
-            acc.pop()
-
-    rec(0, parts[0] if parts else 0, [])
-    return out
-
-
-def kostka_reducible_bruteforce(kp: KostkaPair):
-    """First componentwise decomposition of the pair into two valid
-    nontrivial pairs, or None.
-
-    Unlike a column split, the two summands need not come from a common set
-    of columns; this is the weaker notion used for the Hilbert basis.
-    """
-    n = kp.size
-    if n > MAX_PAIR_SIZE:
-        raise BudgetExceededError(f"size {n} exceeds the budget {MAX_PAIR_SIZE}")
-    lam, mu, r = kp.lam.parts, kp.mu.parts, kp.r
-
-    mu_subs_by_size: dict[int, list[tuple[int, ...]]] = {}
-    for ms in _subpartitions(mu):
-        rest = tuple(a - b for a, b in zip(mu, ms))
-        if any(rest[i] < rest[i + 1] for i in range(len(rest) - 1)):
-            continue
-        mu_subs_by_size.setdefault(sum(ms), []).append(ms)
-
-    for ls in _subpartitions(lam):
-        s = sum(ls)
-        if s == 0 or s == n:
-            continue
-        lam_rest = tuple(a - b for a, b in zip(lam, ls))
-        if any(lam_rest[i] < lam_rest[i + 1] for i in range(len(lam_rest) - 1)):
-            continue
-        for ms in mu_subs_by_size.get(s, ()):
-            left_lam, left_mu = Partition(ls), Partition(ms)
-            if not dominates(left_lam, left_mu):
-                continue
-            rest_lam = Partition(lam_rest)
-            rest_mu = Partition(tuple(a - b for a, b in zip(mu, ms)))
-            if not dominates(rest_lam, rest_mu):
-                continue
-            return (
-                KostkaPair(left_lam, left_mu, r),
-                KostkaPair(rest_lam, rest_mu, r),
-            )
-    return None
-
-
 def partitions_of(n, max_len):
     """All partitions of n with at most max_len parts, as tuples, in
     decreasing lexicographic order."""
@@ -151,9 +101,58 @@ def partitions_of(n, max_len):
     return out
 
 
+def _dominance_pairs(n, rows, r):
+    """Every pair of size n whose partitions have at most ``rows`` parts, in
+    ``r`` rows, in lexicographic order of (lambda, mu) decreasing."""
+    shapes = [Partition(p) for p in partitions_of(n, rows)]
+    return [KostkaPair(lam, mu, r) for lam in shapes for mu in shapes if dominates(lam, mu)]
+
+
+def _minus(a: Partition, b: Partition) -> Partition:
+    """Componentwise a - b over the longer of the two part tuples;
+    ValueError when that is not a partition."""
+    n = max(a.length, b.length)
+    return Partition(tuple(map(sub, a.padded(n), b.padded(n))))
+
+
+def _difference(p: KostkaPair, q: KostkaPair) -> KostkaPair | None:
+    """p - q as a pair in ``p.r`` rows, or None when it is not a valid pair."""
+    try:
+        return KostkaPair(_minus(p.lam, q.lam), _minus(p.mu, q.mu), p.r)
+    except ValueError:
+        return None
+
+
+def kostka_reducible_bruteforce(kp: KostkaPair):
+    """First componentwise decomposition of the pair into two valid
+    nontrivial pairs, or None.
+
+    Unlike a column split, the two summands need not come from a common set
+    of columns; this is the weaker notion used for the Hilbert basis.  The
+    first summand q runs over the pairs of each size 1..n-1 in turn, in the
+    order of :func:`_dominance_pairs` (a summand has no more rows than the
+    pair), and the first q that leaves a valid pair p - q is returned with it.
+    """
+    n = kp.size
+    if n > MAX_PAIR_SIZE:
+        raise BudgetExceededError(f"size {n} exceeds the budget {MAX_PAIR_SIZE}")
+    for m in range(1, n):
+        for q in _dominance_pairs(m, kp.mu.length, kp.r):
+            rest = _difference(kp, q)
+            if rest is not None:
+                return q, rest
+    return None
+
+
 def enumerate_hilbert_basis(r: int, n_max: int) -> list[KostkaPair]:
     """All componentwise-irreducible pairs in r rows with size up to n_max,
     sorted lexicographically.
+
+    Grounds, the subtraction test: a pair p is reducible exactly when some
+    smaller member b leaves a valid pair p - b.  If p = q + q', write q as a
+    sum of members that includes b; then p - b = (q - b) + q' is a pair,
+    since sums of pairs are pairs.  So sizes go in increasing order and each
+    pair is tested against the members found so far.
 
     Desk-scale only: r is capped at 4 and n_max at ``MAX_PAIR_SIZE``.  A row
     bound below 1 is a ValueError.
@@ -168,13 +167,11 @@ def enumerate_hilbert_basis(r: int, n_max: int) -> list[KostkaPair]:
         )
     basis = []
     for n in range(1, n_max + 1):
-        shapes = [Partition(p) for p in partitions_of(n, r)]
-        for lam in shapes:
-            for mu in shapes:
-                if not dominates(lam, mu):
-                    continue
-                pair = KostkaPair(lam, mu, r)
-                if kostka_reducible_bruteforce(pair) is None:
-                    basis.append(pair)
+        # Built in full before it extends the basis: a member of the same
+        # size would leave the empty pair.
+        basis += [
+            p for p in _dominance_pairs(n, r, r)
+            if all(_difference(p, b) is None for b in basis)
+        ]
     basis.sort(key=lambda kp: (kp.lam.parts, kp.mu.parts))
     return basis

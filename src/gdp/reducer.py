@@ -118,15 +118,16 @@ def _phases(order, runs):
     length less its run's.
     """
     t = len(order)
-    step_of = dict(zip(order, range(1, t + 1)))  # position -> visiting step
-    ups = [(lo, hi) for sign, lo, hi in runs if sign > 0]
-    downs = [(lo, hi) for sign, lo, hi in runs if sign < 0]
-    gammas = [step_of[lo] for lo, _ in ups]
-    deltas = [step_of[hi] for _, hi in downs]
+    # Runs alternate from an up-run.  Gammas and deltas strictly increase
+    # (order transfer), so each ``index`` resumes at the last: O(t) each.
+    ups, downs = runs[0::2], runs[1::2]
+    g = d = 0
+    gammas = [g := order.index(lo, g) + 1 for _, lo, _ in ups]
+    deltas = [d := order.index(hi, d) + 1 for _, _, hi in downs]
     up_phases = list(zip(gammas, [g - 1 for g in gammas[1:]] + [t]))
     down_phases = list(zip([0] + deltas[:-1], [d - 1 for d in deltas]))
-    u_counts = [hi - lo - (b - a) for (lo, hi), (a, b) in zip(up_phases, ups)]
-    d_counts = [hi - lo - (b - a) for (lo, hi), (a, b) in zip(down_phases, downs)]
+    u_counts = [hi - lo - (b - a) for (lo, hi), (_, a, b) in zip(up_phases, ups)]
+    d_counts = [hi - lo - (b - a) for (lo, hi), (_, a, b) in zip(down_phases, downs)]
     return gammas, deltas, up_phases, down_phases, u_counts, d_counts
 
 

@@ -1,5 +1,8 @@
 import itertools
+import math
 import random
+import time
+from operator import add
 
 import pytest
 from hypothesis import given, strategies as st
@@ -26,6 +29,51 @@ from gdp.reducer import Irreducible, reduce
 from sweeps import catalan_corpus, random_catalan
 
 EX12 = (5, 5, 4, 4, -3, -3, -3, -3, -3, -1, 5, 5, 5, 3, -4, -4, -4, -4, -4)
+
+
+def pairs_up_to(n_max, r):
+    """Every pair of size 1..n_max in r rows."""
+    return [
+        KostkaPair(lam, mu, r)
+        for n in range(1, n_max + 1)
+        for lam in map(Partition, partitions_of(n, r))
+        for mu in map(Partition, partitions_of(n, r))
+        if dominates(lam, mu)
+    ]
+
+
+def naive_pair_split(kp):
+    """Whether the pair splits into two valid nontrivial pairs, by an
+    independent scan: itertools.product over per-row choices for both
+    partitions, padded to the row bound."""
+    r, n = kp.r, kp.size
+
+    def is_partition(v):
+        return all(v[i] >= v[i + 1] for i in range(len(v) - 1)) and all(x >= 0 for x in v)
+
+    lam_full, mu_full = kp.lam.padded(r), kp.mu.padded(r)
+    for lam_sub in itertools.product(*(range(v + 1) for v in lam_full)):
+        if not is_partition(lam_sub):
+            continue
+        s = sum(lam_sub)
+        if s == 0 or s == n:
+            continue
+        lam_rest = tuple(a - b for a, b in zip(lam_full, lam_sub))
+        if not is_partition(lam_rest):
+            continue
+        for mu_sub in itertools.product(*(range(v + 1) for v in mu_full)):
+            if sum(mu_sub) != s or not is_partition(mu_sub):
+                continue
+            mu_rest = tuple(a - b for a, b in zip(mu_full, mu_sub))
+            if not is_partition(mu_rest):
+                continue
+            try:
+                KostkaPair(Partition(lam_sub), Partition(mu_sub), r)
+                KostkaPair(Partition(lam_rest), Partition(mu_rest), r)
+            except ValueError:
+                continue
+            return True
+    return False
 
 
 def subsets_lex(t):
@@ -137,8 +185,6 @@ class TestKostkaReducibleBruteforce:
             kostka_reducible_bruteforce(KostkaPair(big, big))
 
     def test_agrees_with_naive_pair_scan(self):
-        # Independent validator: enumerate all componentwise splittings with
-        # itertools.product over per-row choices.
         rng = random.Random(44)
         checked = 0
         while checked < 40:
@@ -150,39 +196,30 @@ class TestKostkaReducibleBruteforce:
             mu = rng.choice(mus)
             kp = KostkaPair(lam, mu, r)
             checked += 1
+            assert (kostka_reducible_bruteforce(kp) is not None) == naive_pair_split(kp)
 
-            def is_partition(v):
-                return all(v[i] >= v[i + 1] for i in range(len(v) - 1)) and all(
-                    x >= 0 for x in v
-                )
+    def test_summands_add_up(self):
+        # Every returned pair of summands adds back to its input, row by
+        # row, in the input's row bound.
+        for kp in pairs_up_to(8, 4):
+            out = kostka_reducible_bruteforce(kp)
+            if out is None:
+                continue
+            left, right = out
+            assert left.size >= 1 and right.size >= 1 and left.r == right.r == 4
+            assert tuple(map(add, left.lam.padded(4), right.lam.padded(4))) == kp.lam.padded(4)
+            assert tuple(map(add, left.mu.padded(4), right.mu.padded(4))) == kp.mu.padded(4)
 
-            found = False
-            lam_full, mu_full = kp.lam.padded(r), kp.mu.padded(r)
-            for lam_sub in itertools.product(*(range(v + 1) for v in lam_full)):
-                if not is_partition(lam_sub):
-                    continue
-                s = sum(lam_sub)
-                if s == 0 or s == n:
-                    continue
-                lam_rest = tuple(a - b for a, b in zip(lam_full, lam_sub))
-                if not is_partition(lam_rest):
-                    continue
-                for mu_sub in itertools.product(*(range(v + 1) for v in mu_full)):
-                    if sum(mu_sub) != s or not is_partition(mu_sub):
-                        continue
-                    mu_rest = tuple(a - b for a, b in zip(mu_full, mu_sub))
-                    if not is_partition(mu_rest):
-                        continue
-                    try:
-                        KostkaPair(Partition(lam_sub), Partition(mu_sub), r)
-                        KostkaPair(Partition(lam_rest), Partition(mu_rest), r)
-                    except ValueError:
-                        continue
-                    found = True
-                    break
-                if found:
-                    break
-            assert (kostka_reducible_bruteforce(kp) is not None) == found
+    def test_huge_row_bound(self):
+        # Nothing is padded to the row bound, so r = 10**9 answers at once.
+        r = 10**9
+        for lam, mu, splits in (((2, 2), (2, 2), True), ((3,) * 4, (2,) * 6, False)):
+            started = time.perf_counter()
+            out = kostka_reducible_bruteforce(KostkaPair(Partition(lam), Partition(mu), r))
+            assert time.perf_counter() - started < 1.0
+            assert (out is not None) == splits
+            if splits:
+                assert out[0].r == out[1].r == r
 
 
 class TestHilbertBasis:
@@ -213,6 +250,32 @@ class TestHilbertBasis:
         for r in (0, -2):
             with pytest.raises(ValueError, match="below 1"):
                 enumerate_hilbert_basis(r, 2)
+
+    def test_matches_naive_pair_scan(self):
+        # The basis is exactly the pairs that the per-row scan cannot split.
+        for r in (1, 2, 3):
+            for n in range(1, 8):
+                got = {(kp.lam.parts, kp.mu.parts) for kp in enumerate_hilbert_basis(r, n)}
+                want = {
+                    (kp.lam.parts, kp.mu.parts)
+                    for kp in pairs_up_to(n, r)
+                    if not naive_pair_split(kp)
+                }
+                assert got == want, (r, n)
+
+    def test_strengthened_width_bound(self):
+        # The members with lambda_1 >= length(mu) are exactly the coprime
+        # rectangle pairs (d^d', d'^d) with 1 <= d' <= d <= r.
+        for r, count in zip(range(1, 5), (1, 2, 4, 6)):
+            basis = enumerate_hilbert_basis(r, min(r * r, 12))
+            wide = {(kp.lam.parts, kp.mu.parts) for kp in basis if kp.lam.first >= kp.mu.length}
+            rects = {
+                ((d,) * e, (e,) * d)
+                for d in range(1, r + 1)
+                for e in range(1, d + 1)
+                if math.gcd(d, e) == 1
+            }
+            assert wide == rects and len(rects) == count, r
 
     def test_sorted_lexicographically(self):
         basis = enumerate_hilbert_basis(3, 4)
