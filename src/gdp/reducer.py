@@ -27,7 +27,8 @@ last one ends at t) and the j-th down-phase is [delta_{j-1}, delta_j) (the
 first one starts at 0).  Up-phases tile [t]; down-phases tile {0} + [t-1].
 Counting negative steps per up-phase (u_i) and positive follow-ups per
 down-phase (d_j) gives u_1 + ... + u_y + d_1 + ... + d_y = t, which forces a
-phase to overflow its run maximum whenever cost < width.
+phase to overflow its run maximum whenever cost < width.  The greedy walk
+counts the phases as it goes; only :func:`phase_profile` lists them.
 
 One private core, :func:`_decide`, runs the run kernel ``catalan._runs``
 once, names the regime and passes the entries, runs and run maxima to that
@@ -95,28 +96,22 @@ class PhaseProfile(_Value):
 
 def phase_profile(p: GreedyPermutation, prof: RunProfile) -> PhaseProfile:
     """Compute the phase windows and counts for ``p = build_pi(xs)``, given
-    ``prof = run_profile(xs)``.
+    ``prof = run_profile(xs)``; the deciders' greedy walk counts them itself.
 
     gamma_i, the first step visiting up-run i, is the step of the run's first
     position, and delta_j, the last step visiting down-run j, that of the
     run's last position: the greedy reordering keeps positives in order and
     negatives in order (order transfer), so no other position of a run is
-    visited earlier, or later.
+    visited earlier, or later.  Likewise the steps that a phase does not
+    count are exactly its run's entries, so each count is the window's
+    length less its run's.
     """
     return PhaseProfile(*map(tuple, _phases(p.one_line, prof.runs)))
 
 
 def _phases(order, runs):
-    """Gammas, deltas, up- and down-phase windows and their counts, as
-    lists, for the greedy step ``order`` (1-based positions), given the
-    list's ``runs``; see :func:`phase_profile`.
-
-    By order transfer the steps that up-phase i does not count, its
-    positive ones, are exactly the entries of up-run i; those that down-
-    phase j does not count, the negative steps among lo+1..hi+1, are
-    exactly the entries of down-run j.  So each count is the window's
-    length less its run's.
-    """
+    """:func:`phase_profile`'s fields, as lists, for the greedy step
+    ``order`` (1-based positions) and the list's ``runs``."""
     t = len(order)
     # Runs alternate from an up-run.  Gammas and deltas strictly increase
     # (order transfer), so each ``index`` resumes at the last: O(t) each.
@@ -155,43 +150,27 @@ def _lex_least_equal_pair(keyed):
     return best
 
 
-def _pigeonhole_split(order, keyed):
-    """Part carried by steps h1+1..h2 of the greedy step ``order``, as
-    original positions, for the least equal pair (h1, h2) of ``keyed``."""
-    h1, h2 = _lex_least_equal_pair(keyed)
-    return Decomposition(frozenset(order[h1:h2]))
-
-
 def _phase_split(entries, runs, alphas, betas):
     """Witness for cost < width, where the counting identity forces an
     overfull phase, or for cost = width with more than one peak.
 
-    The first phase that exceeds its run maximum has more steps of the
-    counted sign than values its running sums can take, so two collide.
-    When every phase is exactly full, the u_1 = alpha_1 negative steps of the
-    first up-phase and step 0 give alpha_1 + 1 running sums in [0, alpha_1),
-    so two collide.  The walk reaches 0 only on a negative step, so a return
-    to zero is a collision with step 0 and, being the least pair, wins.  The
-    cut is proper because the first up-phase ends before step t when there
-    is a second up-run.
+    The greedy walk hands back the window of the first overfull up-phase,
+    else of the first overfull down-phase, else of the first up-phase with
+    step 0 counted in (``staircase._greedy_order``).  An overfull phase has
+    more steps of the counted sign than values its running sums can take,
+    so two collide.  When every phase is exactly full, the u_1 = alpha_1
+    negative steps of the first up-phase and step 0 give alpha_1 + 1 running
+    sums in [0, alpha_1), so two collide.  The walk reaches 0 only on a
+    negative step, so a return to zero is a collision with step 0 and, being
+    the least pair, wins.  The cut is proper because the first up-phase ends
+    before step t when there is a second up-run.  Steps h1+1..h2 of the
+    least pair (h1, h2) carry the part.
     """
-    order, steps = _greedy_order(entries)
-    walk = tuple(accumulate(steps, initial=0))  # walk[h]: running sum after h steps
-    _, _, up_phases, down_phases, u_counts, d_counts = _phases(order, runs)
-    for (lo, hi), u, alpha in zip(up_phases, u_counts, alphas):
-        if u > alpha:
-            return _pigeonhole_split(
-                order, ((h, walk[h]) for h in range(lo, hi + 1) if steps[h - 1] < 0)
-            )
-    for (lo, hi), d, beta in zip(down_phases, d_counts, betas):
-        if d > beta:
-            return _pigeonhole_split(
-                order, ((h, walk[h]) for h in range(lo, hi + 1) if steps[h] > 0)
-            )
-    lo, hi = up_phases[0]
-    return _pigeonhole_split(
-        order, [(0, 0), *((h, walk[h]) for h in range(lo, hi + 1) if steps[h - 1] < 0)]
-    )
+    order, sums, (lo, hi, side) = _greedy_order(entries, runs, alphas, betas)
+    keyed = [(h, sums[h]) for h in range(lo, hi + 1)
+             if sums[h] < sums[h + side] or not h]
+    h1, h2 = _lex_least_equal_pair(keyed)
+    return Decomposition(frozenset(order[h1:h2]))
 
 
 def reduce_strict(xs: SignedList) -> Decomposition:

@@ -21,7 +21,8 @@ from gdp.catalan import (
     run_profile,
     width,
 )
-from gdp.oracle import reducible_bruteforce
+from gdp.kostka import KostkaPair, Partition, column_vector, dominates
+from gdp.oracle import partitions_of, reducible_bruteforce
 from gdp.reducer import (
     Irreducible,
     phase_profile,
@@ -30,7 +31,7 @@ from gdp.reducer import (
     reduce_strict,
     reduce_y1,
 )
-from gdp.staircase import build_pi, build_sigma
+from gdp.staircase import _greedy_order, build_pi, build_sigma
 
 from sweeps import (
     catalan_corpus,
@@ -92,6 +93,85 @@ def single_peak_reference(entries):
             need[e] -= 1
             part.add(pos)
     return frozenset(part)
+
+
+def is_phase_split(xs):
+    """Whether ``reduce`` decides the list by the phase split: cost < width,
+    or cost = width with more than one peak."""
+    prof = run_profile(xs)
+    return prof.cost < len(xs) or (prof.cost == len(xs) and prof.y > 1)
+
+
+def reference_window(p, prof):
+    """The phase-split window read off the public records, for
+    ``p = build_pi(xs)`` and ``prof = run_profile(xs)``: ``(lo, hi, -1)``
+    for the first up-phase with u_i > alpha_i; else ``(lo, hi, 1)`` for the
+    first down-phase with d_j > beta_j; else the first up-phase from step 0,
+    ``(0, hi, -1)``."""
+    ph = phase_profile(p, prof)
+    for (lo, hi), u, alpha in zip(ph.up_phases, ph.u_counts, prof.alphas):
+        if u > alpha:
+            return lo, hi, -1
+    for (lo, hi), d, beta in zip(ph.down_phases, ph.d_counts, prof.betas):
+        if d > beta:
+            return lo, hi, 1
+    return 0, ph.up_phases[0][1], -1
+
+
+def phase_split_reference(entries):
+    """The phase-split witness from the public ``build_pi`` and
+    ``phase_profile`` records alone.
+
+    In the window of :func:`reference_window` an up-phase counts its
+    negative steps, and step 0 when it starts there; a down-phase counts the
+    steps h followed by a positive step.  The least pair h1 < h2 of counted
+    steps with equal running sums, by brute force, gives the positions of
+    steps h1+1..h2.
+    """
+    xs = SignedList(entries)
+    p = build_pi(xs)
+    lo, hi, side = reference_window(p, run_profile(xs))
+    walk = (0,) + p.running_sums
+    steps = p.reordered.entries
+    if side > 0:
+        counted = [h for h in range(lo, hi + 1) if steps[h] > 0]
+    else:
+        counted = [h for h in range(lo, hi + 1) if h == 0 or steps[h - 1] < 0]
+    h1, h2 = min(
+        (a, b) for b in counted for a in counted if a < b and walk[a] == walk[b]
+    )
+    return frozenset(p.one_line[h1:h2])
+
+
+def phase_split_inputs():
+    """Every phase-split list of the width <= 8 corpus, 2,000 random ones of
+    width <= 40, and the zero-free column vectors of the phase-split
+    dominance pairs of size <= 12 in <= 4 rows."""
+    lists = [
+        tuple(map(int, row)) for rows in catalan_corpus(8).values() for row in rows
+    ]
+    rng = random.Random(1919)
+    wide = []
+    while len(wide) < 2000:
+        entries = random_catalan(rng.randint(2, 40), rng)
+        if is_phase_split(SignedList(entries)):
+            wide.append(entries)
+    for n in range(1, 13):
+        shapes = [Partition(p) for p in partitions_of(n, 4)]
+        for lam in shapes:
+            for mu in shapes:
+                if dominates(lam, mu):
+                    vec = column_vector(KostkaPair(lam, mu))
+                    if 0 not in vec:
+                        lists.append(vec)
+    return [e for e in lists if is_phase_split(SignedList(e))] + wide
+
+
+def test_phase_split_matches_reference():
+    lists = phase_split_inputs()
+    for entries in lists:
+        assert reduce(SignedList(entries)).part == phase_split_reference(entries), entries
+    assert len(lists) > 6_900
 
 
 class TestPhaseProfile:
@@ -395,14 +475,23 @@ class TestReduceDispatch:
 
 
 def test_deciders_build_no_records(monkeypatch):
-    # The deciders walk the private kernels: with the record types swapped
-    # for stubs that raise, reduce and reduce_y1 still decide the exhaustive
-    # single-peak set, and reduce the width <= 8 corpus.
+    # The deciders walk the private kernels: with the record types and the
+    # phase lister swapped for stubs that raise, reduce and reduce_y1 still
+    # decide the exhaustive single-peak set, and reduce the width <= 8
+    # corpus.  Before that, on every phase-split list of the corpus, the
+    # window the decider's walk stops at is the first overfull phase of the
+    # phase_profile record, and the walk so far is build_pi's.
     single_peak = [SignedList(e) for e in single_peak_equality_lists()]
     corpus = [
         SignedList(tuple(map(int, row)))
         for rows in catalan_corpus(8).values() for row in rows
     ]
+    for xs in filter(is_phase_split, corpus):
+        p, prof = build_pi(xs), run_profile(xs)
+        order, sums, window = _greedy_order(xs.entries, prof.runs, prof.alphas, prof.betas)
+        assert window == reference_window(p, prof), xs
+        assert tuple(order) == p.one_line[: len(order)], xs
+        assert tuple(sums) == ((0,) + p.running_sums)[: len(sums)], xs
 
     def refuse(*args, **kwargs):
         raise AssertionError("a decider built a record")
@@ -412,6 +501,7 @@ def test_deciders_build_no_records(monkeypatch):
         "gdp.staircase.SignedList",
         "gdp.reducer.SignedList",
         "gdp.reducer.PhaseProfile",
+        "gdp.reducer._phases",
         "gdp.catalan.RunProfile",
     ):
         monkeypatch.setattr(target, refuse)
