@@ -55,8 +55,8 @@ from .catalan import (
 )
 from .staircase import GreedyPermutation, _greedy_order, _sigma_order
 
-# The cost > width search keeps two bitsets of at most H + 1 bits for each of
-# the t positions; wider tables are refused before any is built.
+# The cost > width search keeps one table: a bitset of at most H + 1 bits for
+# each of the t positions; wider tables are refused before any is built.
 MAX_SEARCH_BITS = 1 << 26
 
 
@@ -256,16 +256,31 @@ def _search(entries, runs, alphas, betas):
     The first-run maxima go into the certificate.
 
     A list whose prefix sums return to zero before position t splits off
-    its first block {1..q0}: the forward walk below takes each of those
+    its first block {1..q0}: the forward walk would take each of those
     positions, since stopping at q0 completes a part that leaves a position
-    out, and breaks at q0.  Otherwise a proper nonempty position set splits
+    out, and break at q0.  Otherwise a proper nonempty position set splits
     the list exactly when its running sums s_q satisfy 0 <= s_q <= S_q at
     every q and s_t = 0, where S_q are the list's prefix sums.  Going
-    backward, bit s of ``reach[q]`` says that some choice among positions
-    q+1..t completes a part whose sum after q is s, and bit s of
-    ``reach_gap[q]`` that some such choice leaves a position out.  Going
-    forward, each position is taken whenever a completion remains, and the
-    walk stops at the first return to zero.
+    backward, bit s of ``reach_gap[q]`` says that some choice among
+    positions q+1..t that leaves a position out completes a part whose sum
+    after q is s.  Three facts keep this to one table of few operations:
+
+      * A completion that leaves no position out takes all of q+1..t, so
+        its sum after q is S_q: the completions of any kind from q are
+        ``reach_gap[q] | 1 << S_q``, and no second table is kept.
+      * The bits of ``reach_gap[q]`` lie in 0..S_q.  Before a negative step
+        S_{q-1} > S_q, so no shifted bit escapes 0..S_{q-1} and no mask is
+        needed; before a positive step the shift drops the bits below zero
+        and only the skip term, whose top bit S_q exceeds S_{q-1}, is masked.
+      * Every split has a side holding position 1; it leaves a position
+        out, since the other side is not empty, and it comes first in
+        lexicographic order.  So the list is irreducible exactly when
+        ``reach_gap[1]`` lacks bit x_1, and otherwise the witness holds
+        position 1.
+
+    Going forward from position 1, each position is taken whenever a
+    completion remains: one that leaves a position out, or, once a position
+    was left out, any.  The walk stops at the first return to zero.
     """
     t = len(entries)
     sums = list(accumulate(entries, initial=0))
@@ -278,34 +293,30 @@ def _search(entries, runs, alphas, betas):
     q0 = sums.index(0, 1)
     if q0 < t:
         return Decomposition(frozenset(range(1, q0 + 1)))
-    reach = [0] * (t + 1)
     reach_gap = [0] * (t + 1)
-    done, gap = 1, 0
-    reach[t] = done
+    gap = 0
     for q in range(t, 1, -1):
         x = entries[q - 1]
-        keep = (2 << sums[q - 1]) - 1  # sums 0..S_{q-1}
         if x > 0:
-            gap = ((gap >> x) | done) & keep
-            done = ((done >> x) | done) & keep
+            gap = (gap >> x) | (gap & ((2 << sums[q - 1]) - 1))
         else:
-            gap = ((gap << -x) | done) & keep
-            done = ((done << -x) | done) & keep
-        reach[q - 1] = done
+            gap = (gap << -x) | gap | 1 << sums[q]
         reach_gap[q - 1] = gap
 
-    part, s, left_out = [], 0, False
-    for q, x in enumerate(entries, 1):
-        if part and s == 0:
+    s = entries[0]
+    if not gap >> s & 1:  # gap is reach_gap[1]
+        return Irreducible(alphas[0], betas[0], "search")
+    part, left_out = [1], False
+    for q in range(2, t + 1):
+        if s == 0:
             break
-        if s + x >= 0 and (reach if left_out else reach_gap)[q] >> (s + x) & 1:
+        v = s + entries[q - 1]
+        if v >= 0 and (reach_gap[q] >> v & 1 or left_out and v == sums[q]):
             part.append(q)
-            s += x
+            s = v
         else:
             left_out = True
-    if part:
-        return Decomposition(frozenset(part))
-    return Irreducible(alphas[0], betas[0], "search")
+    return Decomposition(frozenset(part))
 
 
 def _decide(entries, regime=None):
@@ -349,7 +360,7 @@ def reduce(xs: SignedList) -> ReduceOutcome:
     Dispatches on the regime (:func:`_decide`).  The cost > width regime has no
     structural criterion and is settled by a search in O(t * H) time and
     bits, for width t and largest prefix sum H; BudgetExceededError is
-    raised, before any table is built, when t * (H + 1) exceeds
+    raised, before the table is built, when t * (H + 1) exceeds
     ``MAX_SEARCH_BITS``.
     """
     return _checked_decision(xs)

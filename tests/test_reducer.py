@@ -4,7 +4,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
-from itertools import product
+from itertools import accumulate, product
 from math import gcd
 from pathlib import Path
 
@@ -172,6 +172,87 @@ def test_phase_split_matches_reference():
     for entries in lists:
         assert reduce(SignedList(entries)).part == phase_split_reference(entries), entries
     assert len(lists) > 6_900
+
+
+def search_tables(entries):
+    """The prefix sums S_0..S_t and the two tables of the cost > width search,
+    each position's bitset kept whole: bit s of ``reach[q]`` says that some
+    choice among positions q+1..t completes a part whose sum after q is s,
+    with running sums s_r in 0..S_r at every r and s_t = 0; ``reach_gap[q]``
+    is the same for choices that leave a position out."""
+    t = len(entries)
+    sums = list(accumulate(entries, initial=0))
+    reach, reach_gap = [0] * (t + 1), [0] * (t + 1)
+    reach[t] = 1
+    for q in range(t, 0, -1):
+        x = entries[q - 1]
+
+        def take(bits):
+            return bits >> x if x > 0 else bits << -x
+
+        keep = (2 << sums[q - 1]) - 1  # sums 0..S_{q-1}
+        reach[q - 1] = (take(reach[q]) | reach[q]) & keep
+        reach_gap[q - 1] = (take(reach_gap[q]) | reach[q]) & keep
+    return sums, reach, reach_gap
+
+
+def search_reference(entries):
+    """The lexicographically least part of a list with no early return to
+    zero, from the two tables: walking forward, take each position whenever
+    a completion remains (one that leaves a position out until a position
+    was left out), and stop at the first return to zero; None when no part
+    is found."""
+    _, reach, reach_gap = search_tables(entries)
+    part, s, left_out = [], 0, False
+    for q, x in enumerate(entries, 1):
+        if part and s == 0:
+            break
+        if s + x >= 0 and (reach if left_out else reach_gap)[q] >> (s + x) & 1:
+            part.append(q)
+            s += x
+        else:
+            left_out = True
+    return frozenset(part) or None
+
+
+def excursion(rng, t, bound):
+    """A random list of width t with nonzero entries in [-bound, bound]
+    whose prefix sums stay positive until position t, where they are 0."""
+    s, entries = 0, []
+    for q in range(1, t):
+        lo, hi = max(1 - s, -bound), min(bound, bound * (t - q) - s)
+        e = 0
+        while e == 0:
+            e = rng.randint(lo, hi)
+        s += e
+        entries.append(e)
+    return tuple(entries) + (-s,)
+
+
+def test_search_matches_two_table_reference():
+    # Cost > width lists of width 12-40 with entries in [-250, 250], past
+    # the oracle's reach: reduce gives the two-table search's witness, and
+    # each table of completions of any kind is the gap table plus S_q.
+    rng = random.Random(2020)
+    lists = []
+    while len(lists) < 3000:
+        entries = excursion(rng, rng.randint(12, 40), 250)
+        if cost(SignedList(entries)) > len(entries):
+            lists.append(entries)
+    irreducible = 0
+    for entries in lists:
+        sums, reach, reach_gap = search_tables(entries)
+        assert all(r == g | 1 << s for r, g, s in zip(reach, reach_gap, sums)), entries
+        part = search_reference(entries)
+        xs = SignedList(entries)
+        out = reduce(xs)
+        if part is None:
+            irreducible += 1
+            prof = run_profile(xs)
+            assert out == Irreducible(prof.alphas[0], prof.betas[0], "search"), entries
+        else:
+            assert out == Decomposition(part), entries
+    assert irreducible > 50
 
 
 class TestPhaseProfile:
@@ -447,6 +528,21 @@ class TestReduceDispatch:
         with pytest.raises(BudgetExceededError, match="search table"):
             reduce(xs)
         assert time.perf_counter() - start < 0.5
+
+    def test_search_table_at_guard_boundary(self):
+        # Width 4 and height 2**24 - 1 give t * (H + 1) = 2**26 bits, the
+        # limit itself, so the list is searched.  It splits as {1, 4}:
+        # position 4 is taken by the completion that leaves none out.
+        xs = SignedList((2**24 - 2, 1, -1, -(2**24 - 2)))
+        start = time.perf_counter()
+        assert reduce(xs) == Decomposition(frozenset({1, 4}))
+        assert time.perf_counter() - start < 0.5
+
+    def test_search_table_guard_past_boundary(self):
+        # One more unit of height puts t * (H + 1) 4 bits past 2**26.
+        xs = SignedList((2**24 - 1, 1, -1, -(2**24 - 1)))
+        with pytest.raises(BudgetExceededError, match="search table"):
+            reduce(xs)
 
     def test_search_table_guard_precedes_first_block(self):
         # The prefix sums return to zero at position 2, but the table guard
