@@ -17,8 +17,9 @@ comma- or whitespace-separated ASCII integers ([+-]?[0-9]+), no empty tokens.
 Exit codes: 0 decomposition/success, 1 irreducible/none, 3 invalid input
 (any ValueError, usage errors included), 4 search budget exceeded (an
 oracle limit, a list whose cost > width search table would be too large, or
-a pair wider than kostka.MAX_COLUMNS columns, refused by its conjugate kernel),
-5 internal error (a witness failed its check).  Code 2 is not used.
+a zero-free pair wider than kostka.MAX_COLUMNS columns; a pair with a zero
+column is answered at any width), 5 internal error (a witness or a
+certificate failed its check).  Code 2 is not used.
 """
 from __future__ import annotations
 

@@ -15,27 +15,30 @@ finds: :class:`KostkaPair` has validated the vector, and ``_sides`` checks
 the split.
 
 Costs, for a partition with largest part lambda_1 and l rows and a column
-set C: a conjugate takes O(lambda_1 + l); restricting to C, and so checking
-a column split, takes O((|C| + l) log |C|) and does not depend on lambda_1;
-a pair is validated with one sum and one prefix-sum pass per partition.
-The private conjugate kernel, ``_conjugate_parts``, is the only step that
-builds data of size lambda_1 and the one home of the ``MAX_COLUMNS`` guard:
-``conjugate`` wraps its tuple in a :class:`Partition`, and
-``column_vector`` subtracts two such tuples without building one.
+set C: a conjugate takes O(lambda_1 + l); the column vector's blocks take
+O(l) (:func:`_column_blocks`), so a zero column is found without building
+anything of size lambda_1; restricting to C, and so checking a column split,
+takes O((|C| + l) log |C|) and does not depend on lambda_1; a pair is
+validated with one sum and one prefix-sum pass per partition.  Only
+:func:`_expand` builds data of size lambda_1, and it is the one home of the
+``MAX_COLUMNS`` guard: ``conjugate`` expands the conjugate's blocks
+(``_conjugate_parts``), ``column_vector`` the column vector's, and
+``common_reduce`` expands those of a zero-free pair only.
 ``Partition.parse`` reads text by the token rule of signed lists,
 ``catalan.parse_ints``.
 """
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from functools import partial
 from itertools import accumulate
 from operator import ge, sub, index as _as_int
 
 from .catalan import BudgetExceededError, _Value, parse_ints
-from .reducer import Irreducible, _decide
+from .reducer import Irreducible, _certified, _decide
 
-MAX_COLUMNS = 2**20  # largest part (column vector width) conjugate takes
+MAX_COLUMNS = 2**20  # widest conjugate or column vector that is built
 
 
 class Partition(_Value):
@@ -88,19 +91,27 @@ class Partition(_Value):
         return ",".join(str(v) for v in self.parts) if self.parts else "0"
 
 
+def _expand(blocks, width: int) -> tuple[int, ...]:
+    """The values of (value, multiplicity) blocks spanning ``width``
+    columns, one per column.  The one home of the ``MAX_COLUMNS`` guard: a
+    wider span is refused before anything is built."""
+    if width > MAX_COLUMNS:
+        raise BudgetExceededError(f"{width} columns exceed the budget {MAX_COLUMNS}")
+    out = []
+    for value, count in blocks:
+        out += [value] * count
+    return tuple(out)
+
+
 def _conjugate_parts(parts: tuple[int, ...]) -> tuple[int, ...]:
     """Parts of the conjugate of a partition's parts: part j counts the
-    parts of size at least j, so the value i fills p_i - p_(i+1) of them.
-    The one home of the ``MAX_COLUMNS`` guard: a largest part above it is
-    refused before anything is built."""
-    if parts and parts[0] > MAX_COLUMNS:
-        raise BudgetExceededError(f"{parts[0]} columns exceed the budget {MAX_COLUMNS}")
-    rows = []
+    parts of size at least j, so the value i fills p_i - p_(i+1) of them."""
+    blocks = []
     below = 0
     for i in range(len(parts), 0, -1):
-        rows += [i] * (parts[i - 1] - below)
+        blocks.append((i, parts[i - 1] - below))
         below = parts[i - 1]
-    return tuple(rows)
+    return _expand(blocks, parts[0] if parts else 0)
 
 
 def conjugate(p: Partition) -> Partition:
@@ -194,15 +205,35 @@ class KostkaIrreducible(_Value):
     basis: str
 
 
+def _column_blocks(lam_parts: tuple[int, ...], mu_parts: tuple[int, ...]):
+    """The column vector of a pair as (value, multiplicity) blocks, lowest
+    columns first, in O(r): one merge over the distinct part values, taken
+    from the smallest.  Between consecutive values v < w the columns
+    v+1..w each hold the i parts of lambda and the k parts of mu that are at
+    least w, so they carry the value k - i.  Needs mu_1 <= lambda_1, which
+    dominance gives."""
+    blocks = []
+    i, k, below = len(lam_parts), len(mu_parts), 0
+    while i:
+        top = lam_parts[i - 1]
+        if k and mu_parts[k - 1] < top:
+            top = mu_parts[k - 1]
+        blocks.append((k - i, top - below))
+        below = top
+        while i and lam_parts[i - 1] == top:
+            i -= 1
+        while k and mu_parts[k - 1] == top:
+            k -= 1
+    return blocks
+
+
 def column_vector(kp: KostkaPair) -> tuple[int, ...]:
     """Per-column conjugate differences mu'_j - lambda'_j for j in [lambda_1].
 
-    Sums to zero; all prefix sums are nonnegative (zeros may occur).  A pair
-    wider than ``MAX_COLUMNS`` columns is refused by
-    :func:`_conjugate_parts`."""
-    lc = _conjugate_parts(kp.lam.parts)  # lambda_1 parts
-    mc = _conjugate_parts(kp.mu.parts)  # mu_1 <= lambda_1 parts
-    return tuple(map(sub, mc + (0,) * (len(lc) - len(mc)), lc))
+    Sums to zero; all prefix sums are nonnegative (zeros may occur).  The
+    expansion of :func:`_column_blocks`, so a pair wider than
+    ``MAX_COLUMNS`` columns is refused."""
+    return _expand(_column_blocks(kp.lam.parts, kp.mu.parts), kp.lam.first)
 
 
 def _column_rows(parts: tuple[int, ...], cols: list[int]) -> tuple[int, ...]:
@@ -222,6 +253,21 @@ def restrict_columns(p: Partition, columns) -> Partition:
     return Partition(_column_rows(p.parts, sorted(cols)))
 
 
+def _unchecked_pair(lam_parts, mu_parts, r: int) -> KostkaPair:
+    """The pair of two part tuples in ``r`` rows, built without a check:
+    the caller vouches for it.  Trailing zeros are stripped."""
+    new, put = object.__new__, object.__setattr__
+    pair = new(KostkaPair)
+    for name, parts in (("lam", lam_parts), ("mu", mu_parts)):
+        if parts and not parts[-1]:
+            parts = parts[: len(parts) - parts.count(0)]
+        p = new(Partition)
+        put(p, "parts", parts)
+        put(pair, name, p)
+    put(pair, "r", r)
+    return pair
+
+
 def _sides(kp: KostkaPair, columns) -> tuple[KostkaPair, KostkaPair] | None:
     """The pairs that the columns and the other columns of [lambda_1] form,
     or None when the columns are not a proper nonempty subset of [lambda_1]
@@ -229,22 +275,27 @@ def _sides(kp: KostkaPair, columns) -> tuple[KostkaPair, KostkaPair] | None:
 
     Every column of [lambda_1] holds a cell of lambda, so neither side of a
     proper nonempty subset is empty; as mu_1 <= lambda_1, the other columns
-    hold exactly the cells of each row that the chosen ones leave.
+    hold exactly the cells of each row that the chosen ones leave.  Only
+    sizes and dominance are checked, since the rest holds by construction:
+    row counts over a sorted column set are weakly decreasing and
+    nonnegative when the parts are, and so are the counts of the other
+    columns, the ones at most p_i left out; both sides fit in the pair's
+    rows; and the other side's sizes are equal once the chosen side's are.
     """
     cols = sorted(set(map(_as_int, columns)))
     n = kp.lam.first
     if not cols or len(cols) >= n or cols[0] < 1 or cols[-1] > n:
         return None
-    lam_in, mu_in = _column_rows(kp.lam.parts, cols), _column_rows(kp.mu.parts, cols)
-    lam_out = tuple(map(sub, kp.lam.parts, lam_in))
-    mu_out = tuple(map(sub, kp.mu.parts, mu_in))
-    try:
-        return (
-            KostkaPair(Partition(lam_in), Partition(mu_in), kp.r),
-            KostkaPair(Partition(lam_out), Partition(mu_out), kp.r),
-        )
-    except ValueError:
+    lam, mu = kp.lam.parts, kp.mu.parts
+    lam_in, mu_in = _column_rows(lam, cols), _column_rows(mu, cols)
+    lam_out, mu_out = tuple(map(sub, lam, lam_in)), tuple(map(sub, mu, mu_in))
+    if not (
+        sum(lam_in) == sum(mu_in)
+        and _prefix_dominates(lam_in, mu_in)
+        and _prefix_dominates(lam_out, mu_out)
+    ):
         return None
+    return _unchecked_pair(lam_in, mu_in, kp.r), _unchecked_pair(lam_out, mu_out, kp.r)
 
 
 def verify_column_split(kp: KostkaPair, columns) -> bool:
@@ -267,40 +318,45 @@ def split_pair(kp: KostkaPair, columns) -> tuple[KostkaPair, KostkaPair]:
 def common_reduce(kp: KostkaPair) -> ColumnSplit | KostkaIrreducible:
     """Find a column split of a nonempty pair, or certify none exists.
 
-    A zero column of the column vector splits on its own (the lowest such
-    column is returned).  Otherwise the column vector is a zero-free signed
-    list whose decompositions are exactly the column splits, and the
-    reducer's core ``_decide`` settles it; the pair's dominance check has
-    validated it.  :func:`_sides` builds the split's two sides once, as the
-    one check of the split, and the returned :class:`ColumnSplit` carries
-    them; RuntimeError is raised when the check fails.  A split always
-    exists when lambda_1 > length(mu), and when lambda_1 = length(mu) unless
-    both partitions are rectangles with coprime widths.  BudgetExceededError
-    is raised, by the conjugate kernel, for a pair wider than ``MAX_COLUMNS``
-    columns, and passes through from the reducer when the column vector's
-    search table would be too large.
+    A zero column of the column vector splits on its own, and the lowest
+    one is found in the vector's blocks (:func:`_column_blocks`), in O(r)
+    whatever lambda_1 is.  Otherwise the blocks are expanded into the
+    column vector, a zero-free signed list whose decompositions are exactly
+    the column splits, and the reducer's core ``_decide`` settles it; the
+    pair's dominance check has validated it.  :func:`_sides` builds the
+    split's two sides once, as the one check of the split, and the returned
+    :class:`ColumnSplit` carries them.  A split always exists when
+    lambda_1 > length(mu), and when lambda_1 = length(mu) unless both
+    partitions are rectangles with coprime widths; a certificate is checked
+    against that, and a ``"coprime"`` one against its grounds in the column
+    vector.  RuntimeError is raised when a check fails.  BudgetExceededError
+    is raised for a zero-free pair wider than ``MAX_COLUMNS`` columns, and
+    passes through from the reducer when the column vector's search table
+    would be too large.
     """
     if kp.size < 1:
         raise ValueError("the pair must have at least one cell")
     if kp.lam.first == 1:
         # Single-column pairs (lambda = mu, one column) have no proper
         # nonempty column subset.
-        return KostkaIrreducible(
-            None, None, kp.lam.rectangle(), kp.mu.rectangle(), "single-column"
-        )
-    vec = column_vector(kp)
-    if 0 in vec:
-        columns = frozenset({vec.index(0) + 1})
+        return _checked_irreducible(kp, None, None, "single-column")
+    blocks = _column_blocks(kp.lam.parts, kp.mu.parts)
+    column = 1
+    for value, count in blocks:
+        if not value:
+            columns = frozenset({column})
+            break
+        column += count
     else:
+        vec = _expand(blocks, kp.lam.first)
         outcome = _decide(vec)
         if isinstance(outcome, Irreducible):
-            return KostkaIrreducible(
-                outcome.alpha1,
-                outcome.beta1,
-                kp.lam.rectangle(),
-                kp.mu.rectangle(),
-                outcome.basis,
-            )
+            if not _certified(vec, outcome):
+                raise RuntimeError(
+                    f"internal error: the decider gave {outcome} for the column "
+                    f"vector of {kp.format()}, and its grounds do not hold"
+                )
+            return _checked_irreducible(kp, outcome.alpha1, outcome.beta1, outcome.basis)
         columns = outcome.part  # zero-free: positions are columns
     sides = _sides(kp, columns)
     if sides is None:
@@ -308,3 +364,18 @@ def common_reduce(kp: KostkaPair) -> ColumnSplit | KostkaIrreducible:
             f"internal error: columns {sorted(columns)} do not split {kp.format()}"
         )
     return ColumnSplit(columns, sides)
+
+
+def _checked_irreducible(kp: KostkaPair, alpha1, beta1, basis: str) -> KostkaIrreducible:
+    """The certificate for a pair that no column split was found for, after
+    the paper's theorem: when lambda_1 >= length(mu), both partitions must be
+    rectangles with coprime widths (RuntimeError otherwise)."""
+    lam_rect, mu_rect = kp.lam.rectangle(), kp.mu.rectangle()
+    if kp.lam.first >= kp.mu.length and not (
+        lam_rect and mu_rect and math.gcd(lam_rect[1], mu_rect[1]) == 1
+    ):
+        raise RuntimeError(
+            f"internal error: {kp.format()} was found irreducible ({basis}), but "
+            "lambda_1 >= length(mu) and it is not a pair of coprime rectangles"
+        )
+    return KostkaIrreducible(alpha1, beta1, lam_rect, mu_rect, basis)

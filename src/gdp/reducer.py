@@ -35,8 +35,10 @@ once, names the regime and passes the entries, runs and run maxima to that
 regime's private path, which walks the private kernels of ``staircase``; so
 no decider builds a record but its outcome.  Each public decider is one
 call to :func:`_checked_decision`, which validates the list, decides it and
-checks a decomposition by code that also runs under ``python -O`` (a failed
-check raises RuntimeError).  ``kostka.common_reduce`` calls :func:`_decide`.
+checks the outcome by code that also runs under ``python -O`` (a failed
+check raises RuntimeError): a decomposition, or the grounds of a coprime
+certificate (:func:`_certified`).  ``kostka.common_reduce`` calls
+:func:`_decide` and :func:`_certified`.
 """
 from __future__ import annotations
 
@@ -340,13 +342,43 @@ def _decide(entries, regime=None):
     return path(entries, runs, alphas, betas)
 
 
+def _certified(entries, cert: Irreducible) -> bool:
+    """True iff an irreducibility certificate for the entries tuple states
+    grounds that hold.  ``"coprime"`` is checked in O(t): the list must be
+    alpha1 taken beta1 times, then -beta1 taken alpha1 times, with
+    gcd(alpha1, beta1) = 1.  So it has one up-run and one down-run, every
+    positive entry is alpha1 and every negative one -beta1, and cost equals
+    width: by the paper's theorem such a list is irreducible.  The fields
+    are tested positive and summing to t first, so no longer list is built.
+    ``"search"`` is taken as given."""
+    if cert.basis == "search":
+        return True
+    a, b = cert.alpha1, cert.beta1
+    return (
+        cert.basis == "coprime"
+        and a > 0
+        and b > 0
+        and a + b == len(entries)
+        and math.gcd(a, b) == 1
+        and entries == (a,) * b + (-b,) * a
+    )
+
+
 def _checked_decision(xs, regime=None):
     """The public deciders' boundary: validate the list once, decide it
-    with :func:`_decide`, and check a decomposition by code that also runs
-    under ``python -O`` (RuntimeError when it fails)."""
+    with :func:`_decide`, and check the outcome by code that also runs
+    under ``python -O`` (RuntimeError when it fails): a decomposition by
+    :func:`is_valid_decomposition`, a certificate by :func:`_certified`."""
     require_catalan(xs)
     outcome = _decide(xs.entries, regime)
-    if isinstance(outcome, Irreducible) or is_valid_decomposition(xs, outcome.part):
+    if isinstance(outcome, Irreducible):
+        if _certified(xs.entries, outcome):
+            return outcome
+        raise RuntimeError(
+            f"internal error: the decider gave {outcome} for {xs.format()}, "
+            "and its grounds do not hold"
+        )
+    if is_valid_decomposition(xs, outcome.part):
         return outcome
     raise RuntimeError(
         f"internal error: the decider gave {outcome} for {xs.format()}, "

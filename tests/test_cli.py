@@ -175,13 +175,27 @@ class TestKostka:
         assert out.splitlines()[0] == "kind=split columns=1"
 
     def test_column_budget(self, capsys):
-        # Refused at once, before any conjugate of 10**9 columns is built.
+        # A zero-free pair wider than the budget is refused at once, before
+        # its column vector of 2**21 columns is built.
         start = time.perf_counter()
-        code, out, err = run(capsys, "kostka", "--json", "1000000000 / 1000000000")
+        code, out, err = run(capsys, "kostka", "--json", "2097152 / 1048576,1048576")
         assert time.perf_counter() - start < 1.0
         assert code == 4
         assert out == ""
-        assert "1000000000 columns exceed the budget" in err
+        assert "2097152 columns exceed the budget" in err
+
+    def test_zero_column_past_the_budget(self, capsys):
+        # A zero column is found in the column vector's blocks, at any width.
+        code, out, _ = run(capsys, "kostka", "--json", "1000000000 / 1000000000")
+        assert code == 0
+        assert json.loads(out) == {
+            "kind": "split",
+            "columns": [1],
+            "lambda_part": [1],
+            "mu_part": [1],
+            "lambda_rest": [999999999],
+            "mu_rest": [999999999],
+        }
 
     def test_split_sides_json(self, capsys):
         code, out, _ = run(capsys, "kostka", "--json", "4,2 / 3,3")

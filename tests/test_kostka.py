@@ -1,11 +1,13 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
 
 from sweeps import random_kostka_pairs
 
+import gdp.kostka
 import gdp.reducer
 from gdp.catalan import BudgetExceededError, ParseError, SignedList
 from gdp.kostka import (
@@ -18,11 +20,13 @@ from gdp.kostka import (
     common_reduce,
     conjugate,
     dominates,
+    _sides,
     restrict_columns,
     split_pair,
     verify_column_split,
 )
 from gdp.oracle import partitions_of
+from gdp.reducer import Irreducible
 
 partitions = st.lists(st.integers(0, 9), min_size=0, max_size=6).map(
     lambda vs: Partition(tuple(sorted(vs, reverse=True)))
@@ -34,6 +38,22 @@ def reference_rows(p, side):
     return [sum(1 for c in side if c <= v) for v in p.parts]
 
 
+def reference_side_ok(lam, mu, side):
+    """Independent check that one side of a column split is a valid
+    nonempty pair, on raw row counts."""
+    lrows = reference_rows(lam, side)
+    mrows = reference_rows(mu, side)
+    if sum(lrows) != sum(mrows) or sum(lrows) == 0:
+        return False
+    la, mb = 0, 0
+    for i in range(max(len(lrows), len(mrows))):
+        la += lrows[i] if i < len(lrows) else 0
+        mb += mrows[i] if i < len(mrows) else 0
+        if la < mb:
+            return False
+    return True
+
+
 def reference_split_ok(lam, mu, cols):
     """Independent column-split validator working on raw row counts."""
     n = lam.first
@@ -41,18 +61,34 @@ def reference_split_ok(lam, mu, cols):
     cols = set(cols)
     if not cols or not cols < full:
         return False
-    for side in (cols, full - cols):
-        lrows = reference_rows(lam, side)
-        mrows = reference_rows(mu, side)
-        if sum(lrows) != sum(mrows) or sum(lrows) == 0:
-            return False
-        la, mb = 0, 0
-        for i in range(max(len(lrows), len(mrows))):
-            la += lrows[i] if i < len(lrows) else 0
-            mb += mrows[i] if i < len(mrows) else 0
-            if la < mb:
-                return False
-    return True
+    return all(reference_side_ok(lam, mu, side) for side in (cols, full - cols))
+
+
+def reference_sides(kp, columns):
+    """Both sides of a column split built through the public, validating
+    constructors, or None when either is not a valid pair."""
+    cols = sorted(set(columns))
+    n = kp.lam.first
+    if not cols or len(cols) >= n or cols[0] < 1 or cols[-1] > n:
+        return None
+    sides = []
+    for side in (cols, sorted(set(range(1, n + 1)) - set(cols))):
+        lam = Partition(tuple(reference_rows(kp.lam, side)))
+        mu = Partition(tuple(reference_rows(kp.mu, side)))
+        try:
+            sides.append(KostkaPair(lam, mu, kp.r))
+        except ValueError:
+            return None
+    return tuple(sides)
+
+
+def dominance_pairs(max_size, rows):
+    """Every dominance pair of size 1..max_size in at most ``rows`` rows."""
+    for n in range(1, max_size + 1):
+        parts = [Partition(p) for p in partitions_of(n, rows)]
+        for lam, mu in itertools.product(parts, repeat=2):
+            if dominates(lam, mu):
+                yield KostkaPair(lam, mu)
 
 
 def column_split_exists(kp):
@@ -271,6 +307,52 @@ class TestVerifyColumnSplit:
                             assert list(got.padded(whole.length)) == rows
 
 
+class TestBlockPath:
+    # Every dominance pair of size <= 12 in <= 4 rows.
+    PAIRS = list(dominance_pairs(12, 4))
+
+    def test_sides_match_validating_constructors(self):
+        # Every column subset of the pairs with lambda_1 <= 7, None included:
+        # _sides checks sizes on the chosen side and dominance on both, and
+        # builds the same sides as the public constructors.  In 62 of the
+        # subsets only the other side fails, so checking one side would not
+        # do.
+        other_side_only = 0
+        for kp in self.PAIRS:
+            n = kp.lam.first
+            if n > 7:
+                continue
+            for size in range(n + 1):
+                for cols in itertools.combinations(range(1, n + 1), size):
+                    want = reference_sides(kp, cols)
+                    assert _sides(kp, cols) == want, (kp, cols)
+                    other_side_only += (
+                        want is None
+                        and 0 < size < n
+                        and reference_side_ok(kp.lam, kp.mu, cols)
+                    )
+        assert other_side_only == 62
+
+    def test_other_side_dominance_is_checked(self):
+        # Columns {1, 4}: the chosen side is 2,1,1 / 1,1,1,1, a valid pair;
+        # the other side, 2,1,1 / 2,2, is not.
+        kp = KostkaPair(Partition((4, 2, 2)), Partition((3, 3, 1, 1)))
+        assert reference_side_ok(kp.lam, kp.mu, {1, 4})
+        assert not reference_side_ok(kp.lam, kp.mu, {2, 3})
+        assert _sides(kp, {1, 4}) is None
+        assert not verify_column_split(kp, {1, 4})
+        with pytest.raises(ValueError):
+            split_pair(kp, {1, 4})
+
+    def test_column_vector_is_the_conjugate_difference(self):
+        rng = random.Random(987)
+        pairs = self.PAIRS + random_kostka_pairs(rng, count=200, max_size=30, max_rows=6)
+        for kp in pairs:
+            n = kp.lam.first
+            lc, mc = conjugate(kp.lam).padded(n), conjugate(kp.mu).padded(n)
+            assert column_vector(kp) == tuple(m - l for l, m in zip(lc, mc, strict=True))
+
+
 class TestCommonReduce:
     def test_sample_pair(self):
         kp = KostkaPair(Partition((5, 3, 1)), Partition((3, 3, 2, 1)))
@@ -361,17 +443,66 @@ class TestCommonReduce:
         assert out.sides == split_pair(wide_pair, out.columns)
 
     def test_column_budget(self):
-        # Refused before anything of size lambda_1 is built; at the budget
-        # itself the pair is still decided.
+        # column_vector and conjugate refuse before anything of size
+        # lambda_1 is built.  common_reduce finds a zero column in the
+        # column vector's blocks at any width, so it refuses only a zero-free
+        # pair that wide: here the vector is 2**20 ones, then 2**20 minus
+        # ones.  At the budget itself the pair is still decided.
         for width in (MAX_COLUMNS + 1, 10**9):
             kp = KostkaPair(Partition((width,)), Partition((width,)))
-            for refuse in (common_reduce, column_vector, lambda kp: conjugate(kp.lam)):
+            for refuse in (column_vector, lambda kp: conjugate(kp.lam)):
                 with pytest.raises(BudgetExceededError, match="columns exceed"):
                     refuse(kp)
+        kp = KostkaPair(Partition((2097152,)), Partition((1048576, 1048576)))
+        with pytest.raises(BudgetExceededError, match="2097152 columns exceed"):
+            common_reduce(kp)
         kp = KostkaPair(Partition((MAX_COLUMNS,)), Partition((MAX_COLUMNS,)))
         assert common_reduce(kp).columns == {1}
         assert column_vector(kp) == (0,) * MAX_COLUMNS
         assert conjugate(kp.lam).parts == (1,) * MAX_COLUMNS
+
+    def test_zero_column_at_any_width(self):
+        # The zero block is found in O(r); nothing of size lambda_1 is built.
+        start = time.perf_counter()
+        kp = KostkaPair(Partition((10**18,)), Partition((10**18,)))
+        out = common_reduce(kp)
+        assert time.perf_counter() - start < 0.01
+        assert out.columns == {1}
+        assert out.sides == split_pair(kp, {1})
+        # Column vector 1, 1, 0, ...: columns 1 and 2 hold one more cell of
+        # mu than of lambda, and column 3 the same number.
+        kp = KostkaPair(Partition((10**18, 5)), Partition((10**18, 3, 2)))
+        out = common_reduce(kp)
+        assert out.columns == {3}
+        assert out.sides == (
+            KostkaPair(Partition((1, 1)), Partition((1, 1)), 3),
+            KostkaPair(Partition((10**18 - 1, 4)), Partition((10**18 - 1, 2, 2)), 3),
+        )
+
+    def test_certificates_are_checked(self, monkeypatch):
+        # Forged certificates from a patched decider: certificates for pairs
+        # with lambda_1 >= length(mu) that are not coprime rectangles, and
+        # "coprime" ones whose grounds do not hold in the column vector:
+        # (1, 1, -1, -1) for 4 / 2,2, and (3, -1, -2) for 3,3 / 2,1,1,1,1,
+        # where lambda_1 < length(mu) and only those grounds are checked.
+        real = gdp.kostka._decide
+        for lam, mu, cert in (
+            ((4,), (2, 2), Irreducible(1, 1, "coprime")),
+            ((4,), (2, 2), Irreducible(1, 1, "search")),
+            ((5, 1), (2, 2, 2), Irreducible(1, 1, "search")),
+            ((3, 3), (2, 1, 1, 1, 1), Irreducible(3, 2, "coprime")),
+        ):
+            kp = KostkaPair(Partition(lam), Partition(mu))
+            monkeypatch.setattr(gdp.kostka, "_decide", lambda entries: cert)
+            with pytest.raises(RuntimeError, match="internal error"):
+                common_reduce(kp)
+        # A coprime rectangle pair, and a search verdict with
+        # lambda_1 < length(mu), pass their checks.
+        monkeypatch.setattr(gdp.kostka, "_decide", real)
+        kp = KostkaPair(Partition((3, 3)), Partition((2, 2, 2)))
+        assert common_reduce(kp) == KostkaIrreducible(1, 2, (2, 3), (3, 2), "coprime")
+        kp = KostkaPair(Partition((2, 2)), Partition((1, 1, 1, 1)))
+        assert common_reduce(kp).basis == "search"
 
     def test_wide_pairs_always_split(self):
         rng = random.Random(654)

@@ -632,13 +632,47 @@ def test_regime_deciders_refuse_before_any_path():
                 assert answers == [], xs
 
 
+# Certificates from a patched decider whose grounds do not hold, each with
+# the condition it breaks.
+FORGED_CERTIFICATES = [
+    ((2, 2, -2, -2), (2, 2, "coprime")),  # gcd(alpha1, beta1) = 2
+    ((1, 1, -1, -1), (1, 1, "coprime")),  # cost 2 < width 4
+    ((1, -1, 1, -1), (1, 3, "coprime")),  # two up-runs
+    ((2, -1, -1), (1, 2, "coprime")),  # entries other than alpha1 and -beta1
+    ((2, -1, -1), (2, 1, "guess")),  # no such basis
+]
+# Pairs with lambda_1 >= length(mu) that are not coprime rectangles, and
+# "coprime" certificates that do not hold in the column vector: (1, 1, -1, -1)
+# for 4 / 2,2, and (3, -1, -2) for 3,3 / 2,1,1,1,1.
+FORGED_KOSTKA_CERTIFICATES = [
+    ((4,), (2, 2), (1, 1, "coprime")),
+    ((4,), (2, 2), (1, 1, "search")),
+    ((5, 1), (2, 2, 2), (1, 1, "search")),
+    ((3, 3), (2, 1, 1, 1, 1), (3, 2, "coprime")),  # lambda_1 < length(mu)
+]
+
+
+@pytest.mark.parametrize("entries,fields", FORGED_CERTIFICATES)
+def test_forged_certificates_raise(monkeypatch, entries, fields):
+    monkeypatch.setattr(gdp.reducer, "_decide", lambda *args: Irreducible(*fields))
+    with pytest.raises(RuntimeError, match="grounds do not hold"):
+        reduce(SignedList(entries))
+
+
+def test_true_certificates_pass_their_checks():
+    assert reduce(SignedList((2, -1, -1))) == Irreducible(2, 1, "coprime")
+    assert reduce_y1(SignedList((3, 3, -2, -2, -2))) == Irreducible(3, 2, "coprime")
+    assert reduce(SignedList((5, 5, 5, -4, -4, -4, -3))).basis == "search"
+
+
 # Under ``python -O``: with the witness checks patched to reject everything,
 # every decider and common_reduce must raise RuntimeError rather than return
-# an unchecked decomposition or column split.
+# an unchecked decomposition or column split; and so must they for the
+# forged certificates above.
 _OPTIMIZED_CHECK_SCRIPT = """
 import gdp.kostka, gdp.reducer
 from gdp import KostkaPair, Partition, SignedList
-from gdp.reducer import reduce, reduce_equality, reduce_strict, reduce_y1
+from gdp.reducer import Irreducible, reduce, reduce_equality, reduce_strict, reduce_y1
 
 if __debug__:
     raise SystemExit("not running under -O")
@@ -669,6 +703,16 @@ for lam, mu in (((5, 3, 1), (3, 3, 2, 1)), ((2, 2), (2, 2))):  # reducer, zero c
     pair = KostkaPair(Partition(lam), Partition(mu))
     if not raises_runtime_error(gdp.kostka.common_reduce, pair):
         bad.append(f"common_reduce {pair.format()}")
+
+for entries, fields in FORGED:
+    gdp.reducer._decide = lambda *args: Irreducible(*fields)
+    if not raises_runtime_error(reduce, SignedList(entries)):
+        bad.append(f"reduce {entries} with {fields}")
+for lam, mu, fields in FORGED_KOSTKA:
+    gdp.kostka._decide = lambda *args: Irreducible(*fields)
+    pair = KostkaPair(Partition(lam), Partition(mu))
+    if not raises_runtime_error(gdp.kostka.common_reduce, pair):
+        bad.append(f"common_reduce {pair.format()} with {fields}")
 print(bad)
 """
 
@@ -676,7 +720,14 @@ print(bad)
 def test_witness_checks_run_under_optimize():
     src = str(Path(gdp.__file__).resolve().parent.parent)
     done = subprocess.run(
-        [sys.executable, "-O", "-c", _OPTIMIZED_CHECK_SCRIPT],
+        [
+            sys.executable,
+            "-O",
+            "-c",
+            f"FORGED = {FORGED_CERTIFICATES!r}\n"
+            f"FORGED_KOSTKA = {FORGED_KOSTKA_CERTIFICATES!r}\n"
+            + _OPTIMIZED_CHECK_SCRIPT,
+        ],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": src},
