@@ -16,11 +16,11 @@ from gdp.kostka import (
     KostkaIrreducible,
     KostkaPair,
     Partition,
+    _sides,
     column_vector,
     common_reduce,
     conjugate,
     dominates,
-    _sides,
     restrict_columns,
     split_pair,
     verify_column_split,
