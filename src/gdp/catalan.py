@@ -9,12 +9,14 @@ Conventions used throughout the package:
   * positions are 1-based in every public interface;
   * the empty list counts as generalized Catalan (vacuously) but is never
     reducible;
-  * zero entries are rejected at construction time (the Kostka module has its
-    own zero-tolerant prefix check for column vectors).
+  * zero entries are rejected at construction time; a Kostka column vector
+    may hold zeros, and ``KostkaPair``'s dominance check is what validates
+    it.
 """
 from __future__ import annotations
 
 import re
+from itertools import accumulate
 from operator import index as _as_int
 
 
@@ -188,12 +190,7 @@ class Decomposition(_Value):
 
 def prefix_sums(xs: SignedList) -> tuple[int, ...]:
     """Running sums (s_1, ..., s_t) with s_q = x_1 + ... + x_q."""
-    out = []
-    s = 0
-    for e in xs:
-        s += e
-        out.append(s)
-    return tuple(out)
+    return tuple(accumulate(xs))
 
 
 def is_generalized_catalan(xs: SignedList) -> bool:
@@ -259,10 +256,7 @@ def run_profile(xs: SignedList) -> RunProfile:
 
 def cost(xs: SignedList) -> int:
     """Sum of the per-run absolute maxima over all runs."""
-    if not xs.entries:
-        raise ValueError("run profile of an empty list")
-    _, alphas, betas = _runs(xs.entries)
-    return sum(alphas) + sum(betas)
+    return run_profile(xs).cost
 
 
 def width(xs: SignedList) -> int:

@@ -66,22 +66,20 @@ def _operand_text(tokens, what="list"):
     return " ".join(toks)
 
 
-def _positions_text(positions) -> str:
-    return ",".join(str(p) for p in sorted(positions))
-
-
 def cmd_check(args, operands) -> int:
     xs = SignedList.parse(_operand_text(operands))
     if not is_generalized_catalan(xs):
-        print("catalan=false")
+        _print_record({"catalan": "false"})
         return EXIT_OK
     prof = run_profile(xs)
-    alphas = ",".join(str(a) for a in prof.alphas)
-    betas = ",".join(str(b) for b in prof.betas)
-    print(
-        f"catalan=true cost={prof.cost} width={width(xs)} y={prof.y} "
-        f"alphas={alphas} betas={betas}"
-    )
+    _print_record({
+        "catalan": "true",
+        "cost": prof.cost,
+        "width": width(xs),
+        "y": prof.y,
+        "alphas": list(prof.alphas),
+        "betas": list(prof.betas),
+    })
     return EXIT_OK
 
 
@@ -97,7 +95,9 @@ def _outcome_record(outcome):
     return record, EXIT_IRREDUCIBLE
 
 
-def _print_record(record, as_json) -> None:
+def _print_record(record, as_json=False) -> None:
+    """The record as one JSON object, or as ``key=value`` fields with list
+    values joined by commas."""
     if as_json:
         print(json.dumps(record))
         return
@@ -137,38 +137,31 @@ def cmd_kostka(args, operands) -> int:
     outcome = common_reduce(pair)
     if isinstance(outcome, ColumnSplit):
         left, right = outcome.sides
+        record = {"kind": "split", "columns": sorted(outcome.columns)}
         if args.json:
-            record = {
-                "kind": "split",
-                "columns": sorted(outcome.columns),
-                "lambda_part": list(left.lam.parts),
-                "mu_part": list(left.mu.parts),
-                "lambda_rest": list(right.lam.parts),
-                "mu_rest": list(right.mu.parts),
-            }
-            print(json.dumps(record))
+            record["lambda_part"] = list(left.lam.parts)
+            record["mu_part"] = list(left.mu.parts)
+            record["lambda_rest"] = list(right.lam.parts)
+            record["mu_rest"] = list(right.mu.parts)
+            _print_record(record, as_json=True)
         else:
-            print(f"kind=split columns={_positions_text(outcome.columns)}")
+            _print_record(record)
             print(f"part: lambda={left.lam.format()} mu={left.mu.format()}")
             print(f"rest: lambda={right.lam.format()} mu={right.mu.format()}")
         return EXIT_OK
+    record, code = _outcome_record(outcome)
+    rects = {"lambda_rect": outcome.lam_rect, "mu_rect": outcome.mu_rect}
     if args.json:
-        record, _ = _outcome_record(outcome)
-        record["lambda_rect"] = list(outcome.lam_rect) if outcome.lam_rect else None
-        record["mu_rect"] = list(outcome.mu_rect) if outcome.mu_rect else None
-        print(json.dumps(record))
+        for key, rect in rects.items():
+            record[key] = list(rect) if rect else None
     else:
-        fields = ["kind=irreducible"]
-        if outcome.alpha1 is not None:
-            fields.append(f"alpha1={outcome.alpha1} beta1={outcome.beta1}")
-        fields.append(f"basis={outcome.basis}")
+        if outcome.alpha1 is None:  # a single-column pair
+            del record["alpha1"], record["beta1"]
         if outcome.lam_rect and outcome.mu_rect:
-            fields.append(
-                f"lambda_rect={outcome.lam_rect[0]}x{outcome.lam_rect[1]}"
-                f" mu_rect={outcome.mu_rect[0]}x{outcome.mu_rect[1]}"
-            )
-        print(" ".join(fields))
-    return EXIT_IRREDUCIBLE
+            for key, (rows, columns) in rects.items():
+                record[key] = f"{rows}x{columns}"
+    _print_record(record, args.json)
+    return code
 
 
 def cmd_render(args, operands) -> int:
@@ -203,7 +196,7 @@ def cmd_oracle_reduce(args, operands) -> int:
         return EXIT_IRREDUCIBLE
     if not is_valid_decomposition(xs, found.part):
         raise RuntimeError(f"internal error: part {list(found.positions)} is invalid")
-    print(f"part={_positions_text(found.part)}")
+    _print_record({"part": list(found.positions)})
     return EXIT_OK
 
 

@@ -21,9 +21,9 @@ anything of size lambda_1; restricting to C, and so checking a column split,
 takes O((|C| + l) log |C|) and does not depend on lambda_1; a pair is
 validated with one sum and one prefix-sum pass per partition.  Only
 :func:`_expand` builds data of size lambda_1, and it is the one home of the
-``MAX_COLUMNS`` guard: ``conjugate`` expands the conjugate's blocks
-(``_conjugate_parts``), ``column_vector`` the column vector's, and
-``common_reduce`` expands those of a zero-free pair only.
+``MAX_COLUMNS`` guard: ``column_vector`` expands the column vector's
+blocks, ``conjugate`` those of (lambda, empty) negated, and
+``common_reduce`` those of a zero-free pair only.
 ``Partition.parse`` reads text by the token rule of signed lists,
 ``catalan.parse_ints``.
 """
@@ -101,23 +101,6 @@ def _expand(blocks, width: int) -> tuple[int, ...]:
     for value, count in blocks:
         out += [value] * count
     return tuple(out)
-
-
-def _conjugate_parts(parts: tuple[int, ...]) -> tuple[int, ...]:
-    """Parts of the conjugate of a partition's parts: part j counts the
-    parts of size at least j, so the value i fills p_i - p_(i+1) of them."""
-    blocks = []
-    below = 0
-    for i in range(len(parts), 0, -1):
-        blocks.append((i, parts[i - 1] - below))
-        below = parts[i - 1]
-    return _expand(blocks, parts[0] if parts else 0)
-
-
-def conjugate(p: Partition) -> Partition:
-    """Transpose of the Young diagram (see :func:`_conjugate_parts`); a
-    largest part above ``MAX_COLUMNS`` is refused."""
-    return Partition(_conjugate_parts(p.parts))
 
 
 def _prefix_dominates(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
@@ -234,6 +217,15 @@ def column_vector(kp: KostkaPair) -> tuple[int, ...]:
     expansion of :func:`_column_blocks`, so a pair wider than
     ``MAX_COLUMNS`` columns is refused."""
     return _expand(_column_blocks(kp.lam.parts, kp.mu.parts), kp.lam.first)
+
+
+def conjugate(p: Partition) -> Partition:
+    """Transpose of the Young diagram.  Part j of lambda' counts the parts
+    of size at least j: the column vector of the pair (lambda, ()) negated,
+    so it expands those blocks; a largest part above ``MAX_COLUMNS`` is
+    refused."""
+    blocks = _column_blocks(p.parts, ())
+    return Partition(_expand([(-v, c) for v, c in blocks], p.first))
 
 
 def _column_rows(parts: tuple[int, ...], cols: list[int]) -> tuple[int, ...]:

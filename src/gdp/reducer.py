@@ -108,13 +108,7 @@ def phase_profile(p: GreedyPermutation, prof: RunProfile) -> PhaseProfile:
     count are exactly its run's entries, so each count is the window's
     length less its run's.
     """
-    return PhaseProfile(*map(tuple, _phases(p.one_line, prof.runs)))
-
-
-def _phases(order, runs):
-    """:func:`phase_profile`'s fields, as lists, for the greedy step
-    ``order`` (1-based positions) and the list's ``runs``."""
-    t = len(order)
+    order, runs, t = p.one_line, prof.runs, len(p.one_line)
     # Runs alternate from an up-run.  Gammas and deltas strictly increase
     # (order transfer), so each ``index`` resumes at the last: O(t) each.
     ups, downs = runs[0::2], runs[1::2]
@@ -125,7 +119,8 @@ def _phases(order, runs):
     down_phases = list(zip([0] + deltas[:-1], [d - 1 for d in deltas]))
     u_counts = [hi - lo - (b - a) for (lo, hi), (_, a, b) in zip(up_phases, ups)]
     d_counts = [hi - lo - (b - a) for (lo, hi), (_, a, b) in zip(down_phases, downs)]
-    return gammas, deltas, up_phases, down_phases, u_counts, d_counts
+    fields = gammas, deltas, up_phases, down_phases, u_counts, d_counts
+    return PhaseProfile(*map(tuple, fields))
 
 
 def _lex_least_equal_pair(keyed):

@@ -63,32 +63,27 @@ def render_svg(
     width_px = pts[-1][0] + 2 * MARGIN
     height_px = (top - bottom) + 2 * MARGIN
 
-    def x_px(v):
-        return v + MARGIN
-
-    def y_px(v):
-        return (top - v) + MARGIN
+    def line(kind, a, b, color, stroke_width):
+        """One ``<line>`` from path point a to path point b."""
+        x1, x2 = _fmt(a[0] + MARGIN), _fmt(b[0] + MARGIN)
+        y1, y2 = _fmt(top - a[1] + MARGIN), _fmt(top - b[1] + MARGIN)
+        return (
+            f'  <line class="{kind}" x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
+            f'stroke="{color}" stroke-width="{stroke_width}"/>'
+        )
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width_px)}" '
         f'height="{_fmt(height_px)}" viewBox="0 0 {_fmt(width_px)} {_fmt(height_px)}">'
     ]
     if axis:
-        for (xa, ya), (xb, yb) in (((0, top), (0, 0)), ((0, 0), (pts[-1][0], 0))):
-            lines.append(
-                f'  <line class="axis" x1="{_fmt(x_px(xa))}" y1="{_fmt(y_px(ya))}" '
-                f'x2="{_fmt(x_px(xb))}" y2="{_fmt(y_px(yb))}" '
-                f'stroke="#000000" stroke-width="1"/>'
-            )
-    for q, ((xa, ya), (xb, yb)) in enumerate(zip(pts, pts[1:]), 1):
+        lines.append(line("axis", (0, top), (0, 0), "#000000", 1))
+        lines.append(line("axis", (0, 0), (pts[-1][0], 0), "#000000", 1))
+    for q, (a, b) in enumerate(zip(pts, pts[1:]), 1):
         if highlight:
             color = HIGHLIGHT_COLOR if q in highlight else COMPLEMENT_COLOR
         else:
             color = PLAIN_COLOR
-        lines.append(
-            f'  <line class="seg" x1="{_fmt(x_px(xa))}" y1="{_fmt(y_px(ya))}" '
-            f'x2="{_fmt(x_px(xb))}" y2="{_fmt(y_px(yb))}" '
-            f'stroke="{color}" stroke-width="2"/>'
-        )
+        lines.append(line("seg", a, b, color, 2))
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

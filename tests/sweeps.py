@@ -14,6 +14,8 @@ a bool, so a sweep can count their failures under ``python -O`` as well.
 """
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from gdp.catalan import is_generalized_catalan, sublist
@@ -139,6 +141,19 @@ def restriction_transfer_sweep(entries, perms):
             ok &= running >= 0
         bad += int(np.count_nonzero(~ok))
     return bad, total
+
+
+def dominance_pairs(max_size, rows, r=None):
+    """Every dominance pair of size 1..max_size in at most ``rows`` rows, by
+    size, then lambda, then mu, each in ``partitions_of`` order; ``r`` is
+    the pairs' row bound, by default the larger of the two lengths.  Kept
+    apart from ``oracle._dominance_pairs``, which the tests check against
+    it."""
+    for n in range(1, max_size + 1):
+        shapes = [Partition(p) for p in partitions_of(n, rows)]
+        for lam, mu in itertools.product(shapes, repeat=2):
+            if dominates(lam, mu):
+                yield KostkaPair(lam, mu, r)
 
 
 def random_kostka_pairs(rng, count, max_size, max_rows, require=None):

@@ -38,7 +38,6 @@ from gdp.oracle import (
     all_catalan_subsets,
     enumerate_hilbert_basis,
     kostka_reducible_bruteforce,
-    partitions_of,
     reducible_bruteforce,
 )
 from gdp.reducer import (
@@ -52,10 +51,12 @@ from gdp.reducer import (
 from gdp.render import path_points, render_svg
 from gdp.staircase import build_pi
 
+from conftest import EX12
 from sweeps import (
     catalan_corpus,
     check_order_transfer,
     count_catalan_lists,
+    dominance_pairs,
     phase_invariants_ok,
     random_catalan,
     random_kostka_pairs,
@@ -63,7 +64,6 @@ from sweeps import (
     restriction_transfer_sweep,
 )
 
-EX12 = (5, 5, 4, 4, -3, -3, -3, -3, -3, -1, 5, 5, 5, 3, -4, -4, -4, -4, -4)
 EX12_TEXT = ",".join(str(v) for v in EX12)
 EX12_WITNESS = {1, 5, 10, 14, 15}
 
@@ -400,35 +400,29 @@ def test_criterion_7_width_bound_splits():
     # Certificates arise in the regime lambda_1 >= length(mu); sweep it
     # exhaustively at small size and validate each certificate.
     certificates = 0
-    for n in range(1, 9):
-        shapes = [Partition(p) for p in partitions_of(n, 4)]
-        for lam in shapes:
-            for mu in shapes:
-                from gdp.kostka import dominates
-
-                if not dominates(lam, mu) or lam.first < mu.length:
-                    continue
-                kp = KostkaPair(lam, mu, 4)
-                out = common_reduce(kp)
-                if isinstance(out, KostkaIrreducible):
-                    certificates += 1
-                    c.check(
-                        out.lam_rect is not None and out.mu_rect is not None,
-                        f"non-rectangle certificate for {kp.format()}",
-                    )
-                    c.check(
-                        math.gcd(kp.lam.first, kp.mu.first) == 1,
-                        f"non-coprime certificate for {kp.format()}",
-                    )
-                    c.check(
-                        kostka_reducible_bruteforce(kp) is None,
-                        f"brute force splits certified pair {kp.format()}",
-                    )
-                else:
-                    c.check(
-                        verify_column_split(kp, out.columns),
-                        f"bad split for {kp.format()}",
-                    )
+    for kp in dominance_pairs(8, 4, r=4):
+        if kp.lam.first < kp.mu.length:
+            continue
+        out = common_reduce(kp)
+        if isinstance(out, KostkaIrreducible):
+            certificates += 1
+            c.check(
+                out.lam_rect is not None and out.mu_rect is not None,
+                f"non-rectangle certificate for {kp.format()}",
+            )
+            c.check(
+                math.gcd(kp.lam.first, kp.mu.first) == 1,
+                f"non-coprime certificate for {kp.format()}",
+            )
+            c.check(
+                kostka_reducible_bruteforce(kp) is None,
+                f"brute force splits certified pair {kp.format()}",
+            )
+        else:
+            c.check(
+                verify_column_split(kp, out.columns),
+                f"bad split for {kp.format()}",
+            )
     c.check(certificates > 0, "no irreducibility certificates exercised")
     c.done(f"1000 wide pairs split; {certificates} certificates validated")
 

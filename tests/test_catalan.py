@@ -16,9 +16,8 @@ from gdp.catalan import (
     sublist,
     width,
 )
+from conftest import EX12
 from sweeps import catalan_corpus, random_catalan
-
-EX12 = (5, 5, 4, 4, -3, -3, -3, -3, -3, -1, 5, 5, 5, 3, -4, -4, -4, -4, -4)
 
 nonzero_entries = st.lists(
     st.integers(-50, 50).filter(lambda v: v != 0), min_size=0, max_size=30

@@ -8,7 +8,9 @@ from gdp import cli
 from gdp.catalan import SignedList, is_valid_decomposition
 from gdp.kostka import KostkaPair, Partition, verify_column_split
 
-EX12_TEXT = "5,5,4,4,-3,-3,-3,-3,-3,-1,5,5,5,3,-4,-4,-4,-4,-4"
+from conftest import EX12
+
+EX12_TEXT = ",".join(map(str, EX12))
 
 
 def run(capsys, *argv):
@@ -345,6 +347,11 @@ class TestOracleCommands:
         assert code == 0
         assert out.splitlines() == ["1 / 1", "1,1 / 1,1", "2 / 1,1"]
 
+    def test_hilbert_refuses_operands(self, capsys):
+        code, out, err = run(capsys, "oracle", "hilbert", "--r", "2", "--n", "2", "extra")
+        assert code == 3 and out == ""
+        assert err == "error: oracle hilbert takes no positional operands\n"
+
     def test_hilbert_row_cap(self, capsys):
         code, _, err = run(capsys, "oracle", "hilbert", "--r", "9", "--n", "2")
         assert code == 4
@@ -371,6 +378,10 @@ class TestUsageErrors:
             (("oracle", "hilbert", "--r", "2"), "required: --n"),
             (("oracle", "hilbert", "--r", "0", "--n", "2"), "--r: expected a positive int"),
             (("oracle", "hilbert", "--r", "-2", "--n", "2"), "--r: expected a positive int"),
+            (("render", "--scale", "abc", "1,-1"),
+             "--scale: expected a positive float, got 'abc'"),
+            (("oracle", "hilbert", "--r", "x", "--n", "2"),
+             "--r: expected a positive int, got 'x'"),
         ],
     )
     def test_exit_code_and_message(self, capsys, argv, message):

@@ -5,11 +5,11 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
-from sweeps import random_kostka_pairs
+from sweeps import dominance_pairs, random_kostka_pairs
 
 import gdp.kostka
 import gdp.reducer
-from gdp.catalan import BudgetExceededError, ParseError, SignedList
+from gdp.catalan import BudgetExceededError, Decomposition, ParseError, SignedList
 from gdp.kostka import (
     MAX_COLUMNS,
     ColumnSplit,
@@ -80,15 +80,6 @@ def reference_sides(kp, columns):
         except ValueError:
             return None
     return tuple(sides)
-
-
-def dominance_pairs(max_size, rows):
-    """Every dominance pair of size 1..max_size in at most ``rows`` rows."""
-    for n in range(1, max_size + 1):
-        parts = [Partition(p) for p in partitions_of(n, rows)]
-        for lam, mu in itertools.product(parts, repeat=2):
-            if dominates(lam, mu):
-                yield KostkaPair(lam, mu)
 
 
 def column_split_exists(kp):
@@ -422,18 +413,13 @@ class TestCommonReduce:
         monkeypatch.setattr(gdp.reducer, "require_catalan", refuse)
         monkeypatch.setattr(gdp.reducer, "is_valid_decomposition", refuse)
         monkeypatch.setattr(SignedList, "__init__", refuse)
-        for n in range(1, 11):
-            parts = [Partition(p) for p in partitions_of(n, 4)]
-            for lam, mu in itertools.product(parts, repeat=2):
-                if not dominates(lam, mu):
-                    continue
-                kp = KostkaPair(lam, mu)
-                out = common_reduce(kp)
-                if isinstance(out, ColumnSplit):
-                    assert verify_column_split(kp, out.columns)
-                    assert out.sides == split_pair(kp, out.columns)
-                else:
-                    assert not column_split_exists(kp)
+        for kp in dominance_pairs(10, 4):
+            out = common_reduce(kp)
+            if isinstance(out, ColumnSplit):
+                assert verify_column_split(kp, out.columns)
+                assert out.sides == split_pair(kp, out.columns)
+            else:
+                assert not column_split_exists(kp)
 
     def test_wide_column_vector(self, wide_pair):
         vec = (3, -3) + (9, 9, 9, -8, -8, -8, -3) * 3 + (1, -1)
@@ -503,6 +489,14 @@ class TestCommonReduce:
         assert common_reduce(kp) == KostkaIrreducible(1, 2, (2, 3), (3, 2), "coprime")
         kp = KostkaPair(Partition((2, 2)), Partition((1, 1, 1, 1)))
         assert common_reduce(kp).basis == "search"
+
+    def test_forged_split_raises(self, monkeypatch, wide_pair):
+        # A forged decomposition of the zero-free column vector: column 1
+        # alone holds entry 3, so its sides differ in size and the split
+        # check refuses it.
+        monkeypatch.setattr(gdp.kostka, "_decide", lambda entries: Decomposition({1}))
+        with pytest.raises(RuntimeError, match=r"columns \[1\] do not split"):
+            common_reduce(wide_pair)
 
     def test_wide_pairs_always_split(self):
         rng = random.Random(654)

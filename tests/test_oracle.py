@@ -26,20 +26,8 @@ from gdp.oracle import (
 )
 from gdp.reducer import Irreducible, reduce
 
-from sweeps import catalan_corpus, random_catalan
-
-EX12 = (5, 5, 4, 4, -3, -3, -3, -3, -3, -1, 5, 5, 5, 3, -4, -4, -4, -4, -4)
-
-
-def pairs_up_to(n_max, r):
-    """Every pair of size 1..n_max in r rows."""
-    return [
-        KostkaPair(lam, mu, r)
-        for n in range(1, n_max + 1)
-        for lam in map(Partition, partitions_of(n, r))
-        for mu in map(Partition, partitions_of(n, r))
-        if dominates(lam, mu)
-    ]
+from conftest import EX12
+from sweeps import catalan_corpus, dominance_pairs, random_catalan
 
 
 def naive_pair_split(kp):
@@ -201,7 +189,7 @@ class TestKostkaReducibleBruteforce:
     def test_summands_add_up(self):
         # Every returned pair of summands adds back to its input, row by
         # row, in the input's row bound.
-        for kp in pairs_up_to(8, 4):
+        for kp in dominance_pairs(8, 4, r=4):
             out = kostka_reducible_bruteforce(kp)
             if out is None:
                 continue
@@ -258,7 +246,7 @@ class TestHilbertBasis:
                 got = {(kp.lam.parts, kp.mu.parts) for kp in enumerate_hilbert_basis(r, n)}
                 want = {
                     (kp.lam.parts, kp.mu.parts)
-                    for kp in pairs_up_to(n, r)
+                    for kp in dominance_pairs(n, r, r=r)
                     if not naive_pair_split(kp)
                 }
                 assert got == want, (r, n)

@@ -21,8 +21,8 @@ from gdp.catalan import (
     run_profile,
     width,
 )
-from gdp.kostka import KostkaPair, Partition, column_vector, dominates
-from gdp.oracle import partitions_of, reducible_bruteforce
+from gdp.kostka import column_vector
+from gdp.oracle import reducible_bruteforce
 from gdp.reducer import (
     Irreducible,
     phase_profile,
@@ -33,14 +33,14 @@ from gdp.reducer import (
 )
 from gdp.staircase import _greedy_order, build_pi, build_sigma
 
+from conftest import EX12
 from sweeps import (
     catalan_corpus,
     definitional_phases,
+    dominance_pairs,
     phase_invariants_ok,
     random_catalan,
 )
-
-EX12 = (5, 5, 4, 4, -3, -3, -3, -3, -3, -1, 5, 5, 5, 3, -4, -4, -4, -4, -4)
 
 
 def single_peak_equality_lists():
@@ -156,14 +156,10 @@ def phase_split_inputs():
         entries = random_catalan(rng.randint(2, 40), rng)
         if is_phase_split(SignedList(entries)):
             wide.append(entries)
-    for n in range(1, 13):
-        shapes = [Partition(p) for p in partitions_of(n, 4)]
-        for lam in shapes:
-            for mu in shapes:
-                if dominates(lam, mu):
-                    vec = column_vector(KostkaPair(lam, mu))
-                    if 0 not in vec:
-                        lists.append(vec)
+    for kp in dominance_pairs(12, 4):
+        vec = column_vector(kp)
+        if 0 not in vec:
+            lists.append(vec)
     return [e for e in lists if is_phase_split(SignedList(e))] + wide
 
 
@@ -597,7 +593,7 @@ def test_deciders_build_no_records(monkeypatch):
         "gdp.staircase.SignedList",
         "gdp.reducer.SignedList",
         "gdp.reducer.PhaseProfile",
-        "gdp.reducer._phases",
+        "gdp.reducer.phase_profile",
         "gdp.catalan.RunProfile",
     ):
         monkeypatch.setattr(target, refuse)
@@ -668,10 +664,11 @@ def test_true_certificates_pass_their_checks():
 # Under ``python -O``: with the witness checks patched to reject everything,
 # every decider and common_reduce must raise RuntimeError rather than return
 # an unchecked decomposition or column split; and so must they for the
-# forged certificates above.
+# forged certificates above, and common_reduce for a forged split of the
+# wide pair (column 1 alone, whose column-vector entry is 3).
 _OPTIMIZED_CHECK_SCRIPT = """
 import gdp.kostka, gdp.reducer
-from gdp import KostkaPair, Partition, SignedList
+from gdp import Decomposition, KostkaPair, Partition, SignedList
 from gdp.reducer import Irreducible, reduce, reduce_equality, reduce_strict, reduce_y1
 
 if __debug__:
@@ -698,6 +695,12 @@ gdp.reducer.is_valid_decomposition = lambda xs, positions: False
 bad = [f.__name__ for f, e in calls if not raises_runtime_error(f, SignedList(e))]
 gdp.reducer.is_valid_decomposition = valid
 
+decide = gdp.kostka._decide
+gdp.kostka._decide = lambda *args: Decomposition({1})
+if not raises_runtime_error(gdp.kostka.common_reduce, KostkaPair(*map(Partition, WIDE))):
+    bad.append("common_reduce with a forged split")
+gdp.kostka._decide = decide
+
 gdp.kostka._sides = lambda kp, columns: None
 for lam, mu in (((5, 3, 1), (3, 3, 2, 1)), ((2, 2), (2, 2))):  # reducer, zero column
     pair = KostkaPair(Partition(lam), Partition(mu))
@@ -717,7 +720,7 @@ print(bad)
 """
 
 
-def test_witness_checks_run_under_optimize():
+def test_witness_checks_run_under_optimize(wide_pair):
     src = str(Path(gdp.__file__).resolve().parent.parent)
     done = subprocess.run(
         [
@@ -726,6 +729,7 @@ def test_witness_checks_run_under_optimize():
             "-c",
             f"FORGED = {FORGED_CERTIFICATES!r}\n"
             f"FORGED_KOSTKA = {FORGED_KOSTKA_CERTIFICATES!r}\n"
+            f"WIDE = {(wide_pair.lam.parts, wide_pair.mu.parts)!r}\n"
             + _OPTIMIZED_CHECK_SCRIPT,
         ],
         capture_output=True,

@@ -6,9 +6,8 @@ import pytest
 from gdp.catalan import SignedList
 from gdp.render import MARGIN, path_points, render_svg
 
+from conftest import EX12
 from sweeps import random_catalan
-
-EX12 = (5, 5, 4, 4, -3, -3, -3, -3, -3, -1, 5, 5, 5, 3, -4, -4, -4, -4, -4)
 
 SEG = re.compile(
     r'<line class="seg" x1="([-\d.]+)" y1="([-\d.]+)" x2="([-\d.]+)" y2="([-\d.]+)" '

@@ -6,9 +6,9 @@ from gdp.catalan import SignedList, is_generalized_catalan, sublist
 from gdp.oracle import all_catalan_subsets
 from gdp.staircase import GreedyPermutation, build_pi, build_sigma
 
+from conftest import EX12
 from sweeps import check_order_transfer, random_catalan, restrict_through
 
-EX12 = (5, 5, 4, 4, -3, -3, -3, -3, -3, -1, 5, 5, 5, 3, -4, -4, -4, -4, -4)
 EX12_ONE_LINE = (1, 5, 2, 6, 7, 3, 8, 4, 9, 10, 11, 15, 12, 16, 17, 13, 18, 14, 19)
 EX12_REORDERED = (5, -3, 5, -3, -3, 4, -3, 4, -3, -1, 5, -4, 5, -4, -4, 5, -4, 3, -4)
 
@@ -122,8 +122,12 @@ class TestBuildSigma:
         assert s.reordered.entries == (2, -2, -2, 2)
 
     def test_rejects_nonzero_sum(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="zero total sum"):
             build_sigma(SignedList((1, 1, -1)))
+
+    def test_rejects_empty_list(self):
+        with pytest.raises(ValueError, match="empty list"):
+            build_sigma(SignedList(()))
 
     def test_allows_negative_start(self):
         s = build_sigma(SignedList((-2, 1, 1)))

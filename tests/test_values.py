@@ -97,6 +97,15 @@ def test_value_contract(cls, fields, name, other, text):
         cls(**fields, no_such_field=other)
     with pytest.raises(TypeError):
         cls(fields[first], **fields)
+    # With the right count of values, a doubled field or an unknown name
+    # still gets past the count check and is refused by name.
+    *head, _ = fields.values()
+    refused_by_name = "has no field" if cls in PLAIN_RECORDS else None
+    with pytest.raises(TypeError, match=refused_by_name):
+        cls(*head, no_such_field=other)
+    if head:
+        with pytest.raises(TypeError, match=refused_by_name):
+            cls(*head, **{first: other})
     # A plain record has no default, so leaving any field out is refused;
     # only the four records that check or convert their input define __init__.
     assert ("__init__" in vars(cls)) == (cls not in PLAIN_RECORDS)
