@@ -1,7 +1,8 @@
 """The gdp command line. Every row of ``cli_pins.txt`` runs here through
 ``cli.main`` in process, and one row of each exit code through
-``python -m gdp``; the classes hold the cases a row cannot: a patched
-decider, a time bound, a fixture, a written file, a library cross-check."""
+``python -m gdp``. The classes keep the named cases: most run their rows
+of the table, and the rest hold what a row cannot: a patched decider, a
+time bound, a fixture, a written file, a library cross-check."""
 import json
 import os
 import re
@@ -38,6 +39,7 @@ def read_pins():
 
 
 PINS = read_pins()
+PIN_BY_ARGV = {tuple(shlex.split(pin[1])[1:]): pin for pin in PINS}
 
 
 def pin_id(pin):
@@ -63,10 +65,16 @@ def check_pin(pin, code, out, err):
         assert err == "", err
 
 
+def check_rows(capsys, *commands):
+    """Run the rows of cli_pins.txt with these commands; each must be a row."""
+    for command in commands:
+        argv = shlex.split(command)[1:]
+        check_pin(PIN_BY_ARGV[tuple(argv)], *run(capsys, *argv))
+
+
 @pytest.mark.parametrize("pin", PINS, ids=pin_id)
 def test_pin(capsys, pin):
-    code, out, err = run(capsys, *shlex.split(pin[1])[1:])
-    check_pin(pin, code, out, err)
+    check_rows(capsys, pin[1])
 
 
 @pytest.mark.parametrize("exit_code", [0, 1, 3, 4])
@@ -84,7 +92,57 @@ def test_python_m_gdp(exit_code):
     check_pin(pin, done.returncode, done.stdout, done.stderr)
 
 
+class TestCheck:
+    def test_example_list(self, capsys):
+        check_rows(capsys, f"gdp check {EX12_TEXT}")
+
+    def test_unit_pair(self, capsys):
+        check_rows(capsys, "gdp check 1,-1", "gdp check +1,-1")
+
+    def test_non_catalan(self, capsys):
+        check_rows(capsys, "gdp check -1,1")
+
+    def test_space_separated_tokens(self, capsys):
+        check_rows(capsys, "gdp check 2 -1 -1")
+
+    def test_parse_error(self, capsys):
+        check_rows(
+            capsys, "gdp check 1,0,-1", "gdp check 1_0,-1_0", "gdp check \u0661,-\u0661"
+        )
+
+    def test_missing_operand(self, capsys):
+        check_rows(capsys, "gdp check")
+
+
 class TestReduce:
+    def test_example_decomposition_json(self, capsys):
+        check_rows(capsys, f"gdp reduce --json {EX12_TEXT}")
+        part = json.loads(PIN_BY_ARGV[("reduce", "--json", EX12_TEXT)][2])["part"]
+        assert is_valid_decomposition(SignedList.parse(EX12_TEXT), part)
+
+    def test_irreducible_exit_code(self, capsys):
+        check_rows(capsys, "gdp reduce --json 2,-1,-1")
+
+    def test_search_basis(self, capsys):
+        # Not all 5 and -4: the verdict comes from the search, not from the
+        # coprime theorem.
+        check_rows(capsys, "gdp reduce --json 5,5,5,-4,-4,-4,-3")
+
+    def test_gcd_split(self, capsys):
+        check_rows(capsys, "gdp reduce 2,2,-2,-2")
+
+    def test_wide_list_decided(self, capsys):
+        check_rows(capsys, "gdp reduce " + ",".join(["3,-3"] * 13))
+
+    def test_search_table_guard(self, capsys):
+        check_rows(capsys, f"gdp reduce {10**26},1,-1,-{10**26}")
+
+    def test_non_catalan_diagnostic(self, capsys):
+        check_rows(capsys, "gdp reduce 1,1,-1")
+
+    def test_flag_after_list_is_diagnosed(self, capsys):
+        check_rows(capsys, "gdp reduce 2,-1,-1 --jsonx")
+
     def test_internal_error(self, capsys, monkeypatch):
         monkeypatch.setattr(gdp.reducer, "is_valid_decomposition", lambda xs, p: False)
         code, out, err = run(capsys, "reduce", "1,-1,1,-1")
@@ -94,7 +152,47 @@ class TestReduce:
         assert "Traceback" not in err
 
 
+class TestPi:
+    def test_golden_line(self, capsys):
+        check_rows(capsys, f"gdp pi {EX12_TEXT}")
+
+    def test_unit_pair(self, capsys):
+        check_rows(capsys, "gdp pi 1,-1")
+
+    def test_hand_traced(self, capsys):
+        check_rows(capsys, "gdp pi 3,1,-2,-2")
+
+    def test_non_catalan(self, capsys):
+        check_rows(capsys, "gdp pi -1,1")
+
+
 class TestKostka:
+    def test_irreducible_rectangles(self, capsys):
+        check_rows(capsys, 'gdp kostka --r 2 --json "2,0 / 1,1"')
+
+    def test_equal_columns(self, capsys):
+        check_rows(capsys, 'gdp kostka "2,2 / 2,2"')
+
+    def test_zero_column_past_the_budget(self, capsys):
+        check_rows(capsys, 'gdp kostka --json "1000000000 / 1000000000"')
+
+    def test_single_column_pair(self, capsys):
+        check_rows(capsys, 'gdp kostka "1,1 / 1,1"', 'gdp kostka --json "1,1 / 1,1"')
+
+    def test_search_basis(self, capsys):
+        check_rows(capsys, "gdp kostka 2,2 / 1,1,1,1")
+
+    def test_invalid_pair(self, capsys):
+        check_rows(capsys, 'gdp kostka "2,2 / 3,1"')
+
+    def test_malformed_pair(self, capsys):
+        check_rows(
+            capsys,
+            "gdp kostka 5,3,1",
+            'gdp kostka "2,,1 / 1,1,1"',
+            'gdp kostka "1_0 / 1_0"',
+        )
+
     def test_sample_pair(self, capsys):
         code, out, _ = run(capsys, "kostka", "5,3,1", "/", "3,3,2,1")
         assert code == 0
@@ -163,6 +261,17 @@ class TestRender:
         assert code == 0
         assert out.startswith("<svg") and out.rstrip().endswith("</svg>")
 
+    def test_bad_highlight(self, capsys):
+        check_rows(
+            capsys, "gdp render --highlight 9 1,-1", "gdp render --highlight 1,,2 1,-1"
+        )
+
+    def test_huge_entries_overflow(self, capsys):
+        check_rows(capsys, f"gdp render {10**400},-{10**400}")
+
+    def test_huge_scale_overflow(self, capsys):
+        check_rows(capsys, "gdp render --scale 1e308 5,-5")
+
     def test_unwritable_path(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "render", "-o", str(tmp_path / "missing" / "x.svg"), "1,-1"
@@ -172,12 +281,71 @@ class TestRender:
 
 
 class TestOracleCommands:
+    def test_reduce_none(self, capsys):
+        check_rows(capsys, "gdp oracle reduce 2,-1,-1")
+
+    def test_reduce_witness(self, capsys):
+        check_rows(capsys, "gdp oracle reduce 1,-1,1,-1")
+
+    def test_reduce_refuses_non_catalan(self, capsys):
+        check_rows(
+            capsys,
+            "gdp oracle reduce 1,1",
+            "gdp oracle reduce -1,1",
+            "gdp oracle reduce 1,-1,1",
+        )
+
+    def test_budget_exit(self, capsys):
+        check_rows(capsys, "gdp oracle reduce " + ",".join(["1,-1"] * 13))
+
+    def test_hilbert_single_row(self, capsys):
+        check_rows(capsys, "gdp oracle hilbert --r 1 --n 3")
+
+    def test_hilbert_two_rows(self, capsys):
+        check_rows(capsys, "gdp oracle hilbert --r 2 --n 2")
+
+    def test_hilbert_refuses_operands(self, capsys):
+        check_rows(capsys, "gdp oracle hilbert --r 2 --n 2 extra")
+
+    def test_hilbert_row_cap(self, capsys):
+        check_rows(capsys, "gdp oracle hilbert --r 9 --n 2")
+
+    def test_hilbert_size_cap(self, capsys):
+        check_rows(capsys, "gdp oracle hilbert --r 2 --n 99")
+
     def test_forged_witness(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "reducible_bruteforce", lambda xs: Decomposition({1}))
         code, out, err = run(capsys, "oracle", "reduce", "1,-1,1,-1")
         assert code == 5
         assert out == ""
         assert err == "error: internal error: part [1] is invalid\n"
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("reduce", "--limit", "26", "3,-3,1,-1"), "unrecognized option '--limit'"),
+            (("bogus",), "invalid choice: 'bogus'"),
+            (("kostka", "--r", "abc", "2 / 1,1"), "--r: invalid int value: 'abc'"),
+            (("render", "--highlight"), "--highlight: expected one argument"),
+            (("render", "--scale", "nan", "1,-1"), "--scale: expected a positive float"),
+            (("render", "--scale", "inf", "1,-1"), "--scale: expected a positive float"),
+            (("render", "--scale", "0", "1,-1"), "--scale: expected a positive float"),
+            (("oracle", "hilbert", "--r", "2", "--n", "-3"), "--n: expected a positive"),
+            (("oracle", "hilbert", "--r", "2"), "required: --n"),
+            (("oracle", "hilbert", "--r", "0", "--n", "2"), "--r: expected a positive int"),
+            (("oracle", "hilbert", "--r", "-2", "--n", "2"), "--r: expected a positive int"),
+            (("render", "--scale", "abc", "1,-1"),
+             "--scale: expected a positive float, got 'abc'"),
+            (("oracle", "hilbert", "--r", "x", "--n", "2"),
+             "--r: expected a positive int, got 'x'"),
+        ],
+    )
+    def test_exit_code_and_message(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        check_pin(PIN_BY_ARGV[argv], code, out, err)
+        assert err.startswith("error: gdp") and message in err
 
 
 class TestRoundTrips:
