@@ -180,8 +180,7 @@ def cmd_render(args, operands) -> int:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(svg)
         except OSError as exc:
-            print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
-            return EXIT_INVALID
+            raise ValueError(f"cannot write {args.output}: {exc}") from None
     else:
         print(svg, end="")
     return EXIT_OK

@@ -66,6 +66,8 @@ class TestSignedList:
         assert SignedList.parse("5,5,-3").entries == (5, 5, -3)
         assert SignedList.parse("5 5 -3").entries == (5, 5, -3)
         assert SignedList.parse(" 5, 5 , -3 ").entries == (5, 5, -3)
+        xs = SignedList.parse("5,4,-9")
+        assert xs[1] == 4 and xs[-1] == -9 and xs[1:] == (4, -9)
 
     def test_parse_diagnostics(self):
         with pytest.raises(ParseError, match="position 2"):

@@ -498,6 +498,14 @@ class TestCommonReduce:
         with pytest.raises(RuntimeError, match=r"columns \[1\] do not split"):
             common_reduce(wide_pair)
 
+    def test_rejected_split_raises(self, monkeypatch):
+        # With the split check made to refuse everything, a split found by
+        # the reducer and a zero column both raise.
+        monkeypatch.setattr(gdp.kostka, "_sides", lambda kp, columns: None)
+        for lam, mu in (((5, 3, 1), (3, 3, 2, 1)), ((2, 2), (2, 2))):
+            with pytest.raises(RuntimeError, match="do not split"):
+                common_reduce(KostkaPair(Partition(lam), Partition(mu)))
+
     def test_wide_pairs_always_split(self):
         rng = random.Random(654)
         pairs = random_kostka_pairs(

@@ -637,15 +637,6 @@ FORGED_CERTIFICATES = [
     ((2, -1, -1), (1, 2, "coprime")),  # entries other than alpha1 and -beta1
     ((2, -1, -1), (2, 1, "guess")),  # no such basis
 ]
-# Pairs with lambda_1 >= length(mu) that are not coprime rectangles, and
-# "coprime" certificates that do not hold in the column vector: (1, 1, -1, -1)
-# for 4 / 2,2, and (3, -1, -2) for 3,3 / 2,1,1,1,1.
-FORGED_KOSTKA_CERTIFICATES = [
-    ((4,), (2, 2), (1, 1, "coprime")),
-    ((4,), (2, 2), (1, 1, "search")),
-    ((5, 1), (2, 2, 2), (1, 1, "search")),
-    ((3, 3), (2, 1, 1, 1, 1), (3, 2, "coprime")),  # lambda_1 < length(mu)
-]
 
 
 @pytest.mark.parametrize("entries,fields", FORGED_CERTIFICATES)
@@ -661,81 +652,55 @@ def test_true_certificates_pass_their_checks():
     assert reduce(SignedList((5, 5, 5, -4, -4, -4, -3))).basis == "search"
 
 
-# Under ``python -O``: with the witness checks patched to reject everything,
-# every decider and common_reduce must raise RuntimeError rather than return
-# an unchecked decomposition or column split; and so must they for the
-# forged certificates above, and common_reduce for a forged split of the
-# wide pair (column 1 alone, whose column-vector entry is 3).
-_OPTIMIZED_CHECK_SCRIPT = """
-import gdp.kostka, gdp.reducer
-from gdp import Decomposition, KostkaPair, Partition, SignedList
-from gdp.reducer import Irreducible, reduce, reduce_equality, reduce_strict, reduce_y1
+def test_rejected_witnesses_raise(monkeypatch):
+    # With the witness check made to reject everything, every public decider
+    # raises rather than return an unchecked decomposition: 3,-3,3,-3,1,-1
+    # is split by the first-block rule, and 4,3,-3,-4 by the search table.
+    monkeypatch.setattr(gdp.reducer, "is_valid_decomposition", lambda xs, part: False)
+    for decider, entries in (
+        (reduce, EX12),
+        (reduce, (1, -1, 1, -1)),
+        (reduce, (2, 2, -2, -2)),
+        (reduce, (3, -3, 3, -3, 1, -1)),
+        (reduce, (4, 3, -3, -4)),
+        (reduce_strict, (2, 1, -1, -1, -1)),
+        (reduce_equality, (1, -1, 1, -1)),
+        (reduce_y1, (2, 1, -1, -2)),
+    ):
+        with pytest.raises(RuntimeError, match="not a valid decomposition") as info:
+            decider(SignedList(entries))
+        assert info.type is RuntimeError
 
-if __debug__:
-    raise SystemExit("not running under -O")
 
-def raises_runtime_error(call, *args):
-    try:
-        call(*args)
-    except RuntimeError as exc:
-        return type(exc) is RuntimeError
-    return False
-
-calls = [
-    (reduce, (5, 5, 4, 4, -3, -3, -3, -3, -3, -1, 5, 5, 5, 3, -4, -4, -4, -4, -4)),
-    (reduce, (1, -1, 1, -1)),
-    (reduce, (2, 2, -2, -2)),
-    (reduce, (3, -3, 3, -3, 1, -1)),  # cost > width: found by the search
-    (reduce_strict, (2, 1, -1, -1, -1)),
-    (reduce_equality, (1, -1, 1, -1)),
-    (reduce_y1, (2, 1, -1, -2)),
+# Tests that forge a verdict or reject a witness, so that only a check in
+# gdp stands between the forgery and the caller.
+FORGED_VERDICT_TESTS = [
+    "test_reducer.py::test_forged_certificates_raise",
+    "test_reducer.py::test_rejected_witnesses_raise",
+    "test_kostka.py::TestCommonReduce::test_certificates_are_checked",
+    "test_kostka.py::TestCommonReduce::test_forged_split_raises",
+    "test_kostka.py::TestCommonReduce::test_rejected_split_raises",
+    "test_cli.py::TestReduce::test_internal_error",
+    "test_cli.py::TestOracleCommands::test_forged_witness",
 ]
-valid = gdp.reducer.is_valid_decomposition
-gdp.reducer.is_valid_decomposition = lambda xs, positions: False
-bad = [f.__name__ for f, e in calls if not raises_runtime_error(f, SignedList(e))]
-gdp.reducer.is_valid_decomposition = valid
-
-decide = gdp.kostka._decide
-gdp.kostka._decide = lambda *args: Decomposition({1})
-if not raises_runtime_error(gdp.kostka.common_reduce, KostkaPair(*map(Partition, WIDE))):
-    bad.append("common_reduce with a forged split")
-gdp.kostka._decide = decide
-
-gdp.kostka._sides = lambda kp, columns: None
-for lam, mu in (((5, 3, 1), (3, 3, 2, 1)), ((2, 2), (2, 2))):  # reducer, zero column
-    pair = KostkaPair(Partition(lam), Partition(mu))
-    if not raises_runtime_error(gdp.kostka.common_reduce, pair):
-        bad.append(f"common_reduce {pair.format()}")
-
-for entries, fields in FORGED:
-    gdp.reducer._decide = lambda *args: Irreducible(*fields)
-    if not raises_runtime_error(reduce, SignedList(entries)):
-        bad.append(f"reduce {entries} with {fields}")
-for lam, mu, fields in FORGED_KOSTKA:
-    gdp.kostka._decide = lambda *args: Irreducible(*fields)
-    pair = KostkaPair(Partition(lam), Partition(mu))
-    if not raises_runtime_error(gdp.kostka.common_reduce, pair):
-        bad.append(f"common_reduce {pair.format()} with {fields}")
-print(bad)
-"""
 
 
-def test_witness_checks_run_under_optimize(wide_pair):
+def test_witness_checks_run_under_optimize():
+    # The forged-verdict tests again, in a child under ``python -O``, where
+    # gdp's asserts are gone: each check they reach must still refuse.  The
+    # child exits at once if asserts are on; pytest exits 4 on a missing test.
+    child = (
+        "import sys, pytest\n"
+        "sys.exit('asserts are on' if __debug__ else pytest.main(sys.argv[1:]))"
+    )
+    tests = Path(__file__).resolve().parent
+    nodes = [str(tests / node) for node in FORGED_VERDICT_TESTS]
     src = str(Path(gdp.__file__).resolve().parent.parent)
     done = subprocess.run(
-        [
-            sys.executable,
-            "-O",
-            "-c",
-            f"FORGED = {FORGED_CERTIFICATES!r}\n"
-            f"FORGED_KOSTKA = {FORGED_KOSTKA_CERTIFICATES!r}\n"
-            f"WIDE = {(wide_pair.lam.parts, wide_pair.mu.parts)!r}\n"
-            + _OPTIMIZED_CHECK_SCRIPT,
-        ],
+        [sys.executable, "-O", "-c", child, "-q", "-p", "no:cacheprovider", *nodes],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": src},
         timeout=60,
     )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    assert done.returncode == 0, done.stdout + done.stderr

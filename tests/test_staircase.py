@@ -74,6 +74,7 @@ class TestBuildPi:
         assert p.one_line == EX12_ONE_LINE
         assert p.reordered.entries == EX12_REORDERED
         assert p.one_line_text() == "(1 5 2 6 7 3 8 4 9 10 11 15 12 16 17 13 18 14 19)"
+        assert len(p) == len(EX12)
 
     def test_forced_pair(self):
         assert build_pi(SignedList((1, -1))).one_line == (1, 2)
