@@ -15,6 +15,7 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
+import math
 import re
 from itertools import accumulate
 from operator import index as _as_int
@@ -26,6 +27,16 @@ class ParseError(ValueError):
 
 class BudgetExceededError(RuntimeError):
     """A search was asked to exceed its budget."""
+
+
+def _decimal(n: int) -> str:
+    """A positive ``n`` in decimal, for a budget refusal; past the digits
+    that ``str`` writes out (4,300 by default), its order of magnitude, so
+    that the refusal itself never fails."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"about 10^{round(math.log10(n))}"
 
 
 _EMPTY_TOKEN = re.compile(r"(?:^|,)\s*(?:,|$)")

@@ -35,7 +35,7 @@ from functools import partial
 from itertools import accumulate
 from operator import ge, sub, index as _as_int
 
-from .catalan import BudgetExceededError, _Value, parse_ints
+from .catalan import BudgetExceededError, _decimal, _Value, parse_ints
 from .reducer import Irreducible, _certified, _decide
 
 MAX_COLUMNS = 2**20  # widest conjugate or column vector that is built
@@ -96,7 +96,9 @@ def _expand(blocks, width: int) -> tuple[int, ...]:
     columns, one per column.  The one home of the ``MAX_COLUMNS`` guard: a
     wider span is refused before anything is built."""
     if width > MAX_COLUMNS:
-        raise BudgetExceededError(f"{width} columns exceed the budget {MAX_COLUMNS}")
+        raise BudgetExceededError(
+            f"{_decimal(width)} columns exceed the budget {MAX_COLUMNS}"
+        )
     out = []
     for value, count in blocks:
         out += [value] * count

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from operator import sub
 
-from .catalan import BudgetExceededError, Decomposition, SignedList
+from .catalan import BudgetExceededError, Decomposition, SignedList, _decimal
 from .kostka import KostkaPair, Partition, dominates
 
 
@@ -135,7 +135,9 @@ def kostka_reducible_bruteforce(kp: KostkaPair):
     """
     n = kp.size
     if n > MAX_PAIR_SIZE:
-        raise BudgetExceededError(f"size {n} exceeds the budget {MAX_PAIR_SIZE}")
+        raise BudgetExceededError(
+            f"size {_decimal(n)} exceeds the budget {MAX_PAIR_SIZE}"
+        )
     for m in range(1, n):
         for q in _dominance_pairs(m, kp.mu.length, kp.r):
             rest = _difference(kp, q)

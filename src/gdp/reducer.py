@@ -27,8 +27,10 @@ last one ends at t) and the j-th down-phase is [delta_{j-1}, delta_j) (the
 first one starts at 0).  Up-phases tile [t]; down-phases tile {0} + [t-1].
 Counting negative steps per up-phase (u_i) and positive follow-ups per
 down-phase (d_j) gives u_1 + ... + u_y + d_1 + ... + d_y = t, which forces a
-phase to overflow its run maximum whenever cost < width.  The greedy walk
-counts the phases as it goes; only :func:`phase_profile` lists them.
+phase to overflow its run maximum whenever cost < width.  The deciders
+read the phases off the finished greedy walk one at a time, and stop at the
+first that settles the pigeonhole (:func:`_phase_window`); only
+:func:`phase_profile` lists them all.
 
 One private core, :func:`_decide`, runs the run kernel ``catalan._runs``
 once, names the regime and passes the entries, runs and run maxima to that
@@ -50,6 +52,7 @@ from .catalan import (
     Decomposition,
     RunProfile,
     SignedList,
+    _decimal,
     _runs,
     _Value,
     is_valid_decomposition,
@@ -98,7 +101,8 @@ class PhaseProfile(_Value):
 
 def phase_profile(p: GreedyPermutation, prof: RunProfile) -> PhaseProfile:
     """Compute the phase windows and counts for ``p = build_pi(xs)``, given
-    ``prof = run_profile(xs)``; the deciders' greedy walk counts them itself.
+    ``prof = run_profile(xs)``; :func:`_phase_window` reads the same
+    windows, one at a time, for the deciders.
 
     gamma_i, the first step visiting up-run i, is the step of the run's first
     position, and delta_j, the last step visiting down-run j, that of the
@@ -147,23 +151,60 @@ def _lex_least_equal_pair(keyed):
     return best
 
 
+def _phase_window(order, runs, alphas, betas):
+    """The window that :func:`_phase_split` pigeonholes, read off the
+    visiting order of ``staircase._greedy_order`` given the list's runs and
+    run maxima: the first up-phase with u_i > alpha_i; else the first
+    down-phase with d_j > beta_j; else the first up-phase from step 0.
+
+    It is ``(lo, hi, side)``: step h of lo..hi counts when the walk's
+    running sums have ``sums[h] < sums[h + side]``, that is when step h is
+    negative (side -1) or step h + 1 positive (side 1); step 0 always
+    counts.  Each phase's bound and count are found as :func:`phase_profile`
+    finds them, one phase at a time, so the reading stops at the first
+    overfull phase.
+    """
+    t, y = len(order), len(alphas)
+    # Up-phase i ends before the step visiting the first position of up-run
+    # i + 1, the last one at t; down-phase j at the step visiting the last
+    # position of down-run j.  Each ``index`` resumes at the previous bound:
+    # O(t) for all phases of one side.
+    lo = 1  # gamma_1: step 1 visits position 1
+    for i, alpha in enumerate(alphas):
+        _, a, b = runs[2 * i]
+        hi = order.index(runs[2 * i + 2][1], lo) if i + 1 < y else t
+        if hi - lo - (b - a) > alpha:
+            return lo, hi, -1
+        if not i:
+            first_hi = hi
+        lo = hi + 1
+    lo = 0
+    for (_, a, b), beta in zip(runs[1::2], betas):
+        hi = order.index(b, lo)
+        if hi - lo - (b - a) > beta:
+            return lo, hi, 1
+        lo = hi + 1
+    return 0, first_hi, -1
+
+
 def _phase_split(entries, runs, alphas, betas):
     """Witness for cost < width, where the counting identity forces an
     overfull phase, or for cost = width with more than one peak.
 
-    The greedy walk hands back the window of the first overfull up-phase,
-    else of the first overfull down-phase, else of the first up-phase with
-    step 0 counted in (``staircase._greedy_order``).  An overfull phase has
-    more steps of the counted sign than values its running sums can take,
-    so two collide.  When every phase is exactly full, the u_1 = alpha_1
-    negative steps of the first up-phase and step 0 give alpha_1 + 1 running
-    sums in [0, alpha_1), so two collide.  The walk reaches 0 only on a
-    negative step, so a return to zero is a collision with step 0 and, being
-    the least pair, wins.  The cut is proper because the first up-phase ends
-    before step t when there is a second up-run.  Steps h1+1..h2 of the
-    least pair (h1, h2) carry the part.
+    Walks the list greedily (``staircase._greedy_order``) and takes the
+    window of :func:`_phase_window`: the first overfull up-phase, else the
+    first overfull down-phase, else the first up-phase with step 0 counted
+    in.  An overfull phase has more steps of the counted sign than values
+    its running sums can take, so two collide.  When every phase is exactly
+    full, the u_1 = alpha_1 negative steps of the first up-phase and step 0
+    give alpha_1 + 1 running sums in [0, alpha_1), so two collide.  The walk
+    reaches 0 only on a negative step, so a return to zero is a collision
+    with step 0 and, being the least pair, wins.  The cut is proper because
+    the first up-phase ends before step t when there is a second up-run.
+    Steps h1+1..h2 of the least pair (h1, h2) carry the part.
     """
-    order, sums, (lo, hi, side) = _greedy_order(entries, runs, alphas, betas)
+    order, sums = _greedy_order(entries)
+    lo, hi, side = _phase_window(order, runs, alphas, betas)
     keyed = [(h, sums[h]) for h in range(lo, hi + 1)
              if sums[h] < sums[h + side] or not h]
     h1, h2 = _lex_least_equal_pair(keyed)
@@ -284,7 +325,7 @@ def _search(entries, runs, alphas, betas):
     height = max(sums)
     if t * (height + 1) > MAX_SEARCH_BITS:
         raise BudgetExceededError(
-            f"the search table for width {t} and height {height} exceeds "
+            f"the search table for width {t} and height {_decimal(height)} exceeds "
             f"{MAX_SEARCH_BITS} bits"
         )
     q0 = sums.index(0, 1)

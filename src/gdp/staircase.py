@@ -56,73 +56,38 @@ def build_pi(xs: SignedList) -> GreedyPermutation:
     Raises ValueError unless the input is nonempty and generalized Catalan.
     """
     require_catalan(xs)
-    order, sums, _ = _greedy_order(xs.entries)
+    order, sums = _greedy_order(xs.entries)
     running_sums = tuple(sums[1:])
     steps = tuple(map(sub, running_sums, sums))  # step h: sums[h] - sums[h - 1]
     return GreedyPermutation(tuple(order), SignedList(steps), running_sums)
 
 
-def _greedy_order(entries, runs=(), alphas=(), betas=()):
+def _greedy_order(entries):
     """The greedy walk of :func:`build_pi` over entries already known to be
-    nonempty and Catalan: the positions, 1-based, in visiting order, the
-    running sums (``sums[h]`` after h steps, ``sums[0] = 0``) and, given
-    the list's ``runs`` and run maxima, the phase window that the reducer's
-    pigeonhole reads (None without runs).
+    nonempty and Catalan: the positions, 1-based, in visiting order, and
+    the running sums, ``sums[h]`` after h steps (``sums[0] = 0``).
 
-    The walk counts the phases (see the ``reducer`` module docstring) as it
-    goes: u_i, the negative steps since the positive cursor entered up-run
-    i, and d_j, the positive steps since the negative cursor took
-    delta_{j-1}.  The window is the first up-phase with u_i > alpha_i, where
-    the walk stops; else the first down-phase with d_j > beta_j; else the
-    first up-phase from step 0.  It is ``(lo, hi, side)``: step h of lo..hi
-    counts when ``sums[h] < sums[h + side]``, that is when step h is
-    negative (side -1) or step h + 1 positive (side 1); step 0 always counts.
     No step finds the negatives used up: once they are, the running sum is
     nonnegative and the total is zero, so no positive is left either.
     """
     negs = [pos for pos, e in enumerate(entries, 1) if e < 0]
     poss = [pos for pos, e in enumerate(entries, 1) if e > 0]
     ext = (0,) + entries  # ext[pos]: the entry at 1-based position pos
-    # The position a cursor takes as a phase ends: the first of each later
-    # up-run, the last of each down-run; position 0 closes both lists.
-    up_ends = [lo for _, lo, _ in runs[2::2]] + [0] if runs else [0]
-    down_ends = [hi for _, _, hi in runs[1::2]] + [0] if runs else [0]
-    i = j = 0  # the current up- and down-phase
-    up_end, down_end = up_ends[0], down_ends[0]
-    gamma, delta = 1, 0  # the first step of the current up- and down-phase
-    n0 = p0 = 0  # the negative and positive steps before them
-    down = None
     order = [1]  # position 1 is poss[0] since a Catalan list starts positive
     sums = [0, entries[0]]
     running = entries[0]
     ni, pi = 0, 1
-    for h in range(2, len(entries) + 1):
+    for _ in range(len(entries) - 1):
         nxt = negs[ni]
         if running + ext[nxt] >= 0:
             ni += 1
-            if nxt == down_end:
-                if down is None and pi - p0 > betas[j]:
-                    down = (delta, h - 1, 1)
-                delta, p0 = h, pi
-                j += 1
-                down_end = down_ends[j]
         else:
             nxt = poss[pi]
             pi += 1
-            if nxt == up_end:
-                if ni - n0 > alphas[i]:
-                    return order, sums, (gamma, h - 1, -1)
-                gamma, n0 = h, ni
-                i += 1
-                up_end = up_ends[i]
         running += ext[nxt]
         order.append(nxt)
         sums.append(running)
-    if not runs:
-        return order, sums, None
-    if ni - n0 > alphas[i]:
-        return order, sums, (gamma, len(entries), -1)
-    return order, sums, down or (0, order.index(up_ends[0]), -1)
+    return order, sums
 
 
 def build_sigma(xs: SignedList) -> GreedyPermutation:

@@ -195,7 +195,8 @@ def random_catalan(t: int, rng, lo: int = -3, hi: int = 3) -> tuple[int, ...]:
         e = rng.choice(cands)
         s += e
         vals.append(e)
-    assert s == 0
+    if s != 0:
+        raise AssertionError(f"random list {vals} ends at {s}, not 0")
     return tuple(vals)
 
 

@@ -1,13 +1,15 @@
 """The gdp command line. Every row of ``cli_pins.txt`` runs here through
-``cli.main`` in process, and one row of each exit code through
-``python -m gdp``. The classes keep the named cases: most run their rows
-of the table, and the rest hold what a row cannot: a patched decider, a
-time bound, a fixture, a written file, a library cross-check."""
+``cli.main`` in process and through the installed ``gdp`` script, and one
+row of each exit code through ``python -m gdp``. The classes keep the named
+cases: most run their rows of the table, and the rest hold what a row
+cannot: a patched decider, a time bound, a fixture, a written file, a
+library cross-check."""
 import errno
 import json
 import os
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 import time
@@ -28,8 +30,9 @@ EX12_TEXT = ",".join(map(str, EX12))
 def read_pins():
     """The rows of cli_pins.txt as (exit code, command, stdout, stderr
     excerpt), with each ``\\n`` of the last two fields a line break.  A
-    field may not end in ``\\n``: CI reads output through ``$(...)``, which
-    drops trailing line breaks, so it would pin other bytes there."""
+    field may not end in ``\\n``: :func:`check_pin` adds the line break
+    that ends each output itself, so a trailing one would pin a blank last
+    line of stdout, or tie an excerpt to the end of the stderr line."""
     pins = []
     text = Path(__file__).with_name("cli_pins.txt").read_text(encoding="utf-8")
     for line in text.splitlines():
@@ -87,6 +90,23 @@ def check_rows(capsys, *commands):
 @pytest.mark.parametrize("pin", PINS, ids=pin_id)
 def test_pin(capsys, pin):
     check_rows(capsys, pin[1])
+
+
+def test_console_script():
+    # Every row through the console script that installing the package
+    # puts on PATH, run as a shell runs it.
+    script = shutil.which("gdp")
+    if script is None:
+        pytest.skip("no gdp script is installed")
+    for pin in PINS:
+        done = subprocess.run(
+            [script, *shlex.split(pin[1])[1:]],
+            capture_output=True,
+            encoding="utf-8",
+            stdin=subprocess.DEVNULL,
+            timeout=60,
+        )
+        check_pin(pin, done.returncode, done.stdout, done.stderr)
 
 
 @pytest.mark.parametrize("exit_code", [0, 1, 3, 4])
@@ -148,6 +168,15 @@ class TestReduce:
 
     def test_search_table_guard(self, capsys):
         check_rows(capsys, f"gdp reduce {10**26},1,-1,-{10**26}")
+
+    def test_search_table_guard_past_the_digit_limit(self, capsys):
+        # 4,300 nines is the longest integer that int() reads; twice it is
+        # past what str() writes out, and the refusal says so in one line.
+        for digits, height in ((4299, "1" + "9" * 4298 + "8"), (4300, "about 10^4300")):
+            x = "9" * digits
+            excerpt = f"error: the search table for width 4 and height {height} exceeds"
+            pin = (4, f"gdp reduce {x},{x},-{x},-{x}", "", excerpt)
+            check_pin(pin, *run(capsys, *shlex.split(pin[1])[1:]))
 
     def test_non_catalan_diagnostic(self, capsys):
         check_rows(capsys, "gdp reduce 1,1,-1")

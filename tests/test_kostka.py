@@ -447,6 +447,21 @@ class TestCommonReduce:
         assert column_vector(kp) == (0,) * MAX_COLUMNS
         assert conjugate(kp.lam).parts == (1,) * MAX_COLUMNS
 
+    def test_column_budget_past_the_digit_limit(self):
+        # 10**5000 columns is past what str() writes out; each refusal gives
+        # its order of magnitude instead.  The second pair is zero-free.
+        n = 10**5000
+        kp = KostkaPair(Partition((n,)), Partition((n,)))
+        wide = KostkaPair(Partition((2 * n,)), Partition((n, n)))
+        calls = (
+            lambda: column_vector(kp),
+            lambda: conjugate(kp.lam),
+            lambda: common_reduce(wide),
+        )
+        for refuse in calls:
+            with pytest.raises(BudgetExceededError, match=r"about 10\^5000 columns exceed"):
+                refuse()
+
     def test_zero_column_at_any_width(self):
         # The zero block is found in O(r); nothing of size lambda_1 is built.
         start = time.perf_counter()

@@ -171,6 +171,10 @@ class TestKostkaReducibleBruteforce:
         big = Partition((7, 6))
         with pytest.raises(BudgetExceededError):
             kostka_reducible_bruteforce(KostkaPair(big, big))
+        # A size past what str() writes out is refused all the same.
+        huge = Partition((10**5000,))
+        with pytest.raises(BudgetExceededError, match=r"size about 10\^5000 exceeds"):
+            kostka_reducible_bruteforce(KostkaPair(huge, huge))
 
     def test_agrees_with_naive_pair_scan(self):
         rng = random.Random(44)

@@ -1,3 +1,4 @@
+import ast
 import os
 import random
 import subprocess
@@ -25,6 +26,7 @@ from gdp.kostka import column_vector
 from gdp.oracle import reducible_bruteforce
 from gdp.reducer import (
     Irreducible,
+    _phase_window,
     phase_profile,
     reduce,
     reduce_equality,
@@ -540,6 +542,13 @@ class TestReduceDispatch:
         with pytest.raises(BudgetExceededError, match="search table"):
             reduce(xs)
 
+    def test_search_table_guard_past_the_digit_limit(self):
+        # A height of 5,001 digits is past what str() writes out; the
+        # refusal gives its order of magnitude instead.
+        xs = SignedList((10**5000, -(10**5000)))
+        with pytest.raises(BudgetExceededError, match=r"height about 10\^5000 exceeds"):
+            reduce(xs)
+
     def test_search_table_guard_precedes_first_block(self):
         # The prefix sums return to zero at position 2, but the table guard
         # still refuses the list before the search looks for a first block.
@@ -571,8 +580,8 @@ def test_deciders_build_no_records(monkeypatch):
     # phase lister swapped for stubs that raise, reduce and reduce_y1 still
     # decide the exhaustive single-peak set, and reduce the width <= 8
     # corpus.  Before that, on every phase-split list of the corpus, the
-    # window the decider's walk stops at is the first overfull phase of the
-    # phase_profile record, and the walk so far is build_pi's.
+    # decider's walk is build_pi's, and the window read off it is the first
+    # overfull phase of the phase_profile record.
     single_peak = [SignedList(e) for e in single_peak_equality_lists()]
     corpus = [
         SignedList(tuple(map(int, row)))
@@ -580,10 +589,11 @@ def test_deciders_build_no_records(monkeypatch):
     ]
     for xs in filter(is_phase_split, corpus):
         p, prof = build_pi(xs), run_profile(xs)
-        order, sums, window = _greedy_order(xs.entries, prof.runs, prof.alphas, prof.betas)
+        order, sums = _greedy_order(xs.entries)
+        assert tuple(order) == p.one_line, xs
+        assert tuple(sums) == (0,) + p.running_sums, xs
+        window = _phase_window(order, prof.runs, prof.alphas, prof.betas)
         assert window == reference_window(p, prof), xs
-        assert tuple(order) == p.one_line[: len(order)], xs
-        assert tuple(sums) == ((0,) + p.running_sums)[: len(sums)], xs
 
     def refuse(*args, **kwargs):
         raise AssertionError("a decider built a record")
@@ -704,3 +714,17 @@ def test_witness_checks_run_under_optimize():
         timeout=60,
     )
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+def test_no_verdict_rests_on_an_assert():
+    # python -O drops every assert and every branch on __debug__, so no
+    # statement of the package may hold either; the child above only sees
+    # the checks that its tests reach.
+    found = []
+    for path in sorted(Path(gdp.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Assert) or (
+                isinstance(node, ast.Name) and node.id == "__debug__"
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
