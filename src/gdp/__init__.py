@@ -10,7 +10,6 @@ from .catalan import (
     cost,
     is_generalized_catalan,
     is_valid_decomposition,
-    prefix_sums,
     run_profile,
     sublist,
     width,
@@ -26,10 +25,8 @@ from .kostka import (
     dominates,
     restrict_columns,
     split_pair,
-    verify_column_split,
 )
 from .oracle import (
-    all_catalan_subsets,
     enumerate_hilbert_basis,
     kostka_reducible_bruteforce,
     reducible_bruteforce,
@@ -40,9 +37,6 @@ from .reducer import (
     ReduceOutcome,
     phase_profile,
     reduce,
-    reduce_equality,
-    reduce_strict,
-    reduce_y1,
 )
 from .render import path_points, render_svg
 from .staircase import GreedyPermutation, build_pi, build_sigma
@@ -63,7 +57,6 @@ __all__ = [
     "ReduceOutcome",
     "RunProfile",
     "SignedList",
-    "all_catalan_subsets",
     "build_pi",
     "build_sigma",
     "column_vector",
@@ -78,17 +71,12 @@ __all__ = [
     "kostka_reducible_bruteforce",
     "path_points",
     "phase_profile",
-    "prefix_sums",
     "reduce",
-    "reduce_equality",
-    "reduce_strict",
-    "reduce_y1",
     "reducible_bruteforce",
     "render_svg",
     "restrict_columns",
     "run_profile",
     "split_pair",
     "sublist",
-    "verify_column_split",
     "width",
 ]

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import re
-from itertools import accumulate
 from operator import index as _as_int
 
 
@@ -197,11 +196,6 @@ class Decomposition(_Value):
     @property
     def positions(self) -> tuple[int, ...]:
         return tuple(sorted(self.part))
-
-
-def prefix_sums(xs: SignedList) -> tuple[int, ...]:
-    """Running sums (s_1, ..., s_t) with s_q = x_1 + ... + x_q."""
-    return tuple(accumulate(xs))
 
 
 def is_generalized_catalan(xs: SignedList) -> bool:

@@ -34,6 +34,7 @@ from .catalan import (
     Decomposition,
     ParseError,
     SignedList,
+    _decimal,
     is_generalized_catalan,
     is_valid_decomposition,
     parse_ints,
@@ -72,9 +73,17 @@ def cmd_check(args, operands) -> int:
         _print_record({"catalan": "false"})
         return EXIT_OK
     prof = run_profile(xs)
+    # The cost is the one field that can exceed the digits str() writes out:
+    # every other one is at most an entry, which the parser has read.
+    try:
+        cost = str(prof.cost)
+    except ValueError:
+        raise ValueError(
+            f"the cost, {_decimal(prof.cost)}, has too many digits to print"
+        ) from None
     _print_record({
         "catalan": "true",
-        "cost": prof.cost,
+        "cost": cost,
         "width": width(xs),
         "y": prof.y,
         "alphas": list(prof.alphas),

@@ -36,7 +36,7 @@ from itertools import accumulate
 from operator import ge, sub, index as _as_int
 
 from .catalan import BudgetExceededError, _decimal, _Value, parse_ints
-from .reducer import Irreducible, _certified, _decide
+from .reducer import Irreducible, _check_certificate, _decide
 
 MAX_COLUMNS = 2**20  # widest conjugate or column vector that is built
 
@@ -292,15 +292,6 @@ def _sides(kp: KostkaPair, columns) -> tuple[KostkaPair, KostkaPair] | None:
     return _unchecked_pair(lam_in, mu_in, kp.r), _unchecked_pair(lam_out, mu_out, kp.r)
 
 
-def verify_column_split(kp: KostkaPair, columns) -> bool:
-    """True iff the columns split the pair into two valid nontrivial pairs.
-
-    Columns live in [lambda_1]; the narrower partition is unaffected by its
-    empty columns.
-    """
-    return _sides(kp, columns) is not None
-
-
 def split_pair(kp: KostkaPair, columns) -> tuple[KostkaPair, KostkaPair]:
     """Both restricted pairs for a valid column split (ValueError otherwise)."""
     sides = _sides(kp, columns)
@@ -345,11 +336,7 @@ def common_reduce(kp: KostkaPair) -> ColumnSplit | KostkaIrreducible:
         vec = _expand(blocks, kp.lam.first)
         outcome = _decide(vec)
         if isinstance(outcome, Irreducible):
-            if not _certified(vec, outcome):
-                raise RuntimeError(
-                    f"internal error: the decider gave {outcome} for the column "
-                    f"vector of {kp.format()}, and its grounds do not hold"
-                )
+            _check_certificate(vec, outcome, kp, "the column vector of ")
             return _checked_irreducible(kp, outcome.alpha1, outcome.beta1, outcome.basis)
         columns = outcome.part  # zero-free: positions are columns
     sides = _sides(kp, columns)

@@ -75,12 +75,6 @@ def reducible_bruteforce(xs: SignedList):
     return None
 
 
-def all_catalan_subsets(xs: SignedList) -> list[tuple[int, ...]]:
-    """Every position set (including the empty one) whose sublist is
-    generalized Catalan, in lexicographic order."""
-    return [(), *_catalan_sets(xs)]
-
-
 def partitions_of(n, max_len):
     """All partitions of n with at most max_len parts, as tuples, in
     decreasing lexicographic order."""

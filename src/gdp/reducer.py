@@ -5,18 +5,18 @@ sublists are both generalized Catalan.  Writing ``cost`` for the sum of the
 per-run maxima and ``width`` for the length, the decision procedure is:
 
   * cost < width: always reducible; a witness comes out of a pigeonhole
-    argument over the phases of the greedy reordering (:func:`reduce_strict`).
+    argument over the phases of the greedy reordering (:func:`_phase_split`).
   * cost = width, more than one peak: always reducible; when no phase
     overflows, the same pigeonhole fires over the first up-phase with step 0
     counted in, so a return to zero is one of its collisions
-    (:func:`reduce_equality`).
+    (:func:`_phase_split`).
   * cost = width, single peak: reducible unless every entry is the up-run
     maximum or the negated down-run maximum and those maxima are coprime;
     the constructive search sorts the up-run, walks it greedily and pigeonholes
-    the running sums from step 0 (:func:`reduce_y1`).
+    the running sums from step 0 (:func:`_single_peak`).
   * cost > width: no structural criterion; a search over (position, chosen
     prefix sum) settles it in O(t * H) for width t and largest prefix sum H
-    (:func:`reduce`).  Its first-block rule answers a list whose prefix sums
+    (:func:`_search`).  Its first-block rule answers a list whose prefix sums
     return to zero before position t with the block {1..q0} up to that
     return, the witness the search would find, without building a table;
     the table-size guard still comes first.
@@ -35,12 +35,12 @@ first that settles the pigeonhole (:func:`_phase_window`); only
 One private core, :func:`_decide`, runs the run kernel ``catalan._runs``
 once, names the regime and passes the entries, runs and run maxima to that
 regime's private path, which walks the private kernels of ``staircase``; so
-no decider builds a record but its outcome.  Each public decider is one
-call to :func:`_checked_decision`, which validates the list, decides it and
-checks the outcome by code that also runs under ``python -O`` (a failed
-check raises RuntimeError): a decomposition, or the grounds of a coprime
-certificate (:func:`_certified`).  ``kostka.common_reduce`` calls
-:func:`_decide` and :func:`_certified`.
+no decider builds a record but its outcome.  :func:`reduce` validates the
+list, decides it and checks the outcome by code that also runs under
+``python -O`` (a failed check raises RuntimeError): a decomposition, or the
+grounds of a certificate (:func:`_check_certificate`).
+``kostka.common_reduce`` calls :func:`_decide` and
+:func:`_check_certificate`.
 """
 from __future__ import annotations
 
@@ -211,16 +211,6 @@ def _phase_split(entries, runs, alphas, betas):
     return Decomposition(frozenset(order[h1:h2]))
 
 
-def reduce_strict(xs: SignedList) -> Decomposition:
-    """Decompose a generalized Catalan list with cost < width."""
-    return _checked_decision(xs, "cost < width")
-
-
-def reduce_equality(xs: SignedList) -> Decomposition:
-    """Decompose a generalized Catalan list with cost = width and > 1 peak."""
-    return _checked_decision(xs, "cost = width with several peaks")
-
-
 def _y1_zero_multiset(ups, downs):
     """A proper nonempty zero-sum value multiset of a single-peak list.
 
@@ -252,8 +242,13 @@ def _leftmost_positions(entries, values):
 
 
 def _single_peak(entries, runs, alphas, betas):
-    """Witness or certificate for cost = width with one peak (see
-    :func:`reduce_y1`)."""
+    """Witness or certificate for cost = width with one peak.
+
+    Any sublist of a single-peak list keeps all positives before all
+    negatives, so being generalized Catalan is the same as having zero sum;
+    decompositions are therefore value multisets and position choices inside
+    each run are free (leftmost occurrences are used).
+    """
     k = runs[0][2]  # the up-run is positions 1..k, the down-run the rest
     ups, downs = entries[:k], entries[k:]
     alpha, beta = alphas[0], betas[0]
@@ -275,17 +270,6 @@ def _single_peak(entries, runs, alphas, betas):
         values = [alpha] * (beta // g) + [-beta] * (alpha // g)
 
     return Decomposition(_leftmost_positions(entries, values))
-
-
-def reduce_y1(xs: SignedList) -> ReduceOutcome:
-    """Decide a generalized Catalan list with cost = width and a single peak.
-
-    Any sublist of a single-peak list keeps all positives before all
-    negatives, so being generalized Catalan is the same as having zero sum;
-    decompositions are therefore value multisets and position choices inside
-    each run are free (leftmost occurrences are used).
-    """
-    return _checked_decision(xs, "cost = width with one peak")
 
 
 def _search(entries, runs, alphas, betas):
@@ -357,78 +341,69 @@ def _search(entries, runs, alphas, betas):
     return Decomposition(frozenset(part))
 
 
-def _decide(entries, regime=None):
+def _decide(entries):
     """Unchecked outcome of the private path for the nonzero entries of a
     nonempty generalized Catalan list.  The one place that names the regime:
     cost < width; cost = width with several peaks (up-runs); cost = width
-    with one peak; or cost > width.  When ``regime`` names another one,
-    ValueError is raised before any path runs."""
+    with one peak; or cost > width."""
     runs, alphas, betas = _runs(entries)
     c, w = sum(alphas) + sum(betas), len(entries)
     if c < w:
-        found, path = "cost < width", _phase_split
+        path = _phase_split
     elif c > w:
-        found, path = "cost > width", _search
+        path = _search
     elif len(alphas) > 1:
-        found, path = "cost = width with several peaks", _phase_split
+        path = _phase_split
     else:
-        found, path = "cost = width with one peak", _single_peak
-    if regime is not None and regime != found:
-        raise ValueError(f"the list has {found}; this decider needs {regime}")
+        path = _single_peak
     return path(entries, runs, alphas, betas)
 
 
-def _certified(entries, cert: Irreducible) -> bool:
-    """True iff an irreducibility certificate for the entries tuple states
-    grounds that hold.  ``"coprime"`` is checked in O(t): the list must be
-    alpha1 taken beta1 times, then -beta1 taken alpha1 times, with
-    gcd(alpha1, beta1) = 1.  So it has one up-run and one down-run, every
-    positive entry is alpha1 and every negative one -beta1, and cost equals
-    width: by the paper's theorem such a list is irreducible.  The fields
-    are tested positive and summing to t first, so no longer list is built.
-    ``"search"`` is taken as given."""
-    if cert.basis == "search":
-        return True
+def _check_certificate(entries, cert: Irreducible, subject, of: str = "") -> Irreducible:
+    """``cert`` when the irreducibility certificate for the entries tuple
+    states grounds that hold, else RuntimeError naming the certificate and
+    ``of`` followed by ``subject.format()``.  ``"coprime"`` is checked in
+    O(t): the list must be alpha1 taken beta1 times, then -beta1 taken
+    alpha1 times, with gcd(alpha1, beta1) = 1.  So it has one up-run and one
+    down-run, every positive entry is alpha1 and every negative one -beta1,
+    and cost equals width: by the paper's theorem such a list is
+    irreducible.  The fields are tested positive and summing to t first, so
+    no longer list is built.  ``"search"`` is taken as given."""
     a, b = cert.alpha1, cert.beta1
-    return (
+    if cert.basis == "search" or (
         cert.basis == "coprime"
         and a > 0
         and b > 0
         and a + b == len(entries)
         and math.gcd(a, b) == 1
         and entries == (a,) * b + (-b,) * a
-    )
-
-
-def _checked_decision(xs, regime=None):
-    """The public deciders' boundary: validate the list once, decide it
-    with :func:`_decide`, and check the outcome by code that also runs
-    under ``python -O`` (RuntimeError when it fails): a decomposition by
-    :func:`is_valid_decomposition`, a certificate by :func:`_certified`."""
-    require_catalan(xs)
-    outcome = _decide(xs.entries, regime)
-    if isinstance(outcome, Irreducible):
-        if _certified(xs.entries, outcome):
-            return outcome
-        raise RuntimeError(
-            f"internal error: the decider gave {outcome} for {xs.format()}, "
-            "and its grounds do not hold"
-        )
-    if is_valid_decomposition(xs, outcome.part):
-        return outcome
+    ):
+        return cert
     raise RuntimeError(
-        f"internal error: the decider gave {outcome} for {xs.format()}, "
-        "which is not a valid decomposition"
+        f"internal error: the decider gave {cert} for {of}{subject.format()}, "
+        "and its grounds do not hold"
     )
 
 
 def reduce(xs: SignedList) -> ReduceOutcome:
     """Decide reducibility of a nonempty generalized Catalan list.
 
-    Dispatches on the regime (:func:`_decide`).  The cost > width regime has no
-    structural criterion and is settled by a search in O(t * H) time and
-    bits, for width t and largest prefix sum H; BudgetExceededError is
-    raised, before the table is built, when t * (H + 1) exceeds
-    ``MAX_SEARCH_BITS``.
+    Validates the list once, dispatches on the regime (:func:`_decide`) and
+    checks the outcome by code that also runs under ``python -O``
+    (RuntimeError when it fails): a decomposition by
+    :func:`is_valid_decomposition`, a certificate by
+    :func:`_check_certificate`.  The cost > width regime has no structural
+    criterion and is settled by a search in O(t * H) time and bits, for
+    width t and largest prefix sum H; BudgetExceededError is raised, before
+    the table is built, when t * (H + 1) exceeds ``MAX_SEARCH_BITS``.
     """
-    return _checked_decision(xs)
+    require_catalan(xs)
+    outcome = _decide(xs.entries)
+    if isinstance(outcome, Irreducible):
+        return _check_certificate(xs.entries, outcome, xs)
+    if is_valid_decomposition(xs, outcome.part):
+        return outcome
+    raise RuntimeError(
+        f"internal error: the decider gave {outcome} for {xs.format()}, "
+        "which is not a valid decomposition"
+    )

@@ -20,7 +20,14 @@ import numpy as np
 
 from gdp.catalan import is_generalized_catalan, sublist
 from gdp.kostka import KostkaPair, Partition, dominates
-from gdp.oracle import partitions_of
+from gdp.oracle import _catalan_sets, partitions_of
+
+
+def all_catalan_subsets(xs) -> list[tuple[int, ...]]:
+    """Every position set (including the empty one) whose sublist is
+    generalized Catalan, in lexicographic order: the oracle's scan, which
+    refuses a list wider than ``oracle.MAX_WIDTH``."""
+    return [(), *_catalan_sets(xs)]
 
 
 def count_catalan_lists(t: int, lo: int = -3, hi: int = 3) -> int:

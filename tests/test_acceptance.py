@@ -32,27 +32,19 @@ from gdp.kostka import (
     common_reduce,
     restrict_columns,
     split_pair,
-    verify_column_split,
 )
 from gdp.oracle import (
-    all_catalan_subsets,
     enumerate_hilbert_basis,
     kostka_reducible_bruteforce,
     reducible_bruteforce,
 )
-from gdp.reducer import (
-    Irreducible,
-    phase_profile,
-    reduce,
-    reduce_equality,
-    reduce_strict,
-    reduce_y1,
-)
+from gdp.reducer import Irreducible, phase_profile, reduce
 from gdp.render import path_points, render_svg
 from gdp.staircase import build_pi
 
 from conftest import EX12
 from sweeps import (
+    all_catalan_subsets,
     catalan_corpus,
     check_order_transfer,
     count_catalan_lists,
@@ -306,15 +298,15 @@ def test_criterion_4_case_coverage(corpus):
             total_cost = sum(prof.alphas) + sum(prof.betas)
             if total_cost < t:
                 counts["strict"] += 1
-                if not is_valid_decomposition(xs, reduce_strict(xs).part):
+                if not is_valid_decomposition(xs, reduce(xs).part):
                     bad_strict += 1
             elif total_cost == t and prof.y > 1:
                 counts["equality"] += 1
-                if not is_valid_decomposition(xs, reduce_equality(xs).part):
+                if not is_valid_decomposition(xs, reduce(xs).part):
                     bad_equality += 1
             elif total_cost == t:
                 counts["single_peak"] += 1
-                outcome = reduce_y1(xs)
+                outcome = reduce(xs)
                 witness = reducible_bruteforce(xs)
                 if isinstance(outcome, Irreducible):
                     counts["irreducible"] += 1
@@ -359,13 +351,12 @@ def test_criterion_6_kostka_fixture():
     out = common_reduce(kp)
     c.check(isinstance(out, ColumnSplit), "no column split returned")
     if isinstance(out, ColumnSplit):
-        c.check(verify_column_split(kp, out.columns), "returned split rejected")
-    c.check(verify_column_split(kp, {1, 3, 5}), "known columns rejected")
+        c.check(split_pair(kp, out.columns) == out.sides, "returned split rejected")
     c.check(
         restrict_columns(kp.lam, {1, 3, 5}).parts == (3, 2, 1),
         "restriction of the first partition to {1,3,5}",
     )
-    left, right = split_pair(kp, {1, 3, 5})
+    left, right = split_pair(kp, {1, 3, 5})  # ValueError: known columns rejected
     c.check(
         (left.lam.parts, left.mu.parts) == ((3, 2, 1), (2, 2, 1, 1)),
         "pair restricted to {1,3,5}",
@@ -391,9 +382,7 @@ def test_criterion_7_width_bound_splits():
     split_failures = 0
     for kp in pairs:
         out = common_reduce(kp)
-        if not isinstance(out, ColumnSplit) or not verify_column_split(
-            kp, out.columns
-        ):
+        if not isinstance(out, ColumnSplit) or split_pair(kp, out.columns) != out.sides:
             split_failures += 1
     c.check(split_failures == 0, f"wide pairs without splits: {split_failures}")
 
@@ -420,7 +409,7 @@ def test_criterion_7_width_bound_splits():
             )
         else:
             c.check(
-                verify_column_split(kp, out.columns),
+                split_pair(kp, out.columns) == out.sides,
                 f"bad split for {kp.format()}",
             )
     c.check(certificates > 0, "no irreducibility certificates exercised")

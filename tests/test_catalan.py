@@ -11,7 +11,6 @@ from gdp.catalan import (
     cost,
     is_generalized_catalan,
     is_valid_decomposition,
-    prefix_sums,
     run_profile,
     sublist,
     width,
@@ -104,27 +103,9 @@ class TestCatalanPredicate:
     @given(nonzero_entries)
     def test_matches_prefix_sum_characterization(self, entries):
         xs = SignedList(tuple(entries))
-        sums = prefix_sums(xs)
+        sums = tuple(itertools.accumulate(entries))
         expected = (not sums) or (sums[-1] == 0 and min(sums) >= 0)
         assert is_generalized_catalan(xs) == expected
-
-
-class TestPrefixSums:
-    @pytest.mark.parametrize(
-        "entries,expected",
-        [
-            ((1, -1), (1, 0)),
-            ((2, -1, -1), (2, 1, 0)),
-            ((5, -3, -1, 3, -4), (5, 2, 1, 4, 0)),
-        ],
-    )
-    def test_examples(self, entries, expected):
-        assert prefix_sums(SignedList(entries)) == expected
-
-    @given(nonzero_entries)
-    def test_matches_accumulate(self, entries):
-        xs = SignedList(tuple(entries))
-        assert prefix_sums(xs) == tuple(itertools.accumulate(entries))
 
 
 class TestRunProfile:

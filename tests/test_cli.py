@@ -20,7 +20,7 @@ import pytest
 import gdp.reducer
 from gdp import cli
 from gdp.catalan import Decomposition, SignedList, is_valid_decomposition
-from gdp.kostka import KostkaPair, Partition, verify_column_split
+from gdp.kostka import KostkaPair, Partition, split_pair
 
 from conftest import EX12
 
@@ -145,6 +145,19 @@ class TestCheck:
     def test_missing_operand(self, capsys):
         check_rows(capsys, "gdp check")
 
+    def test_cost_past_the_digit_limit(self, capsys):
+        # The cost of X,X,-X,-X is 2X: 4,300 digits for X of 4,299 nines,
+        # which str() still writes out, and 4,301 for 4,300 nines, which it
+        # refuses; the refusal says so in one line.
+        x = "9" * 4299
+        out = f"catalan=true cost=1{'9' * 4298}8 width=4 y=1 alphas={x} betas={x}"
+        pin = (0, f"gdp check {x},{x},-{x},-{x}", out, "")
+        check_pin(pin, *run(capsys, *shlex.split(pin[1])[1:]))
+        x = "9" * 4300
+        excerpt = "error: the cost, about 10^4300, has too many digits to print"
+        pin = (3, f"gdp check {x},{x},-{x},-{x}", "", excerpt)
+        check_pin(pin, *run(capsys, *shlex.split(pin[1])[1:]))
+
 
 class TestReduce:
     def test_example_decomposition_json(self, capsys):
@@ -241,10 +254,14 @@ class TestKostka:
         assert lines[0].startswith("kind=split columns=")
         columns = {int(c) for c in lines[0].split("=")[-1].split(",")}
         kp = KostkaPair(Partition((5, 3, 1)), Partition((3, 3, 2, 1)))
-        assert verify_column_split(kp, columns)
+        part, rest = split_pair(kp, columns)
         assert lines[1:] == [
             "part: lambda=1,1 mu=1,1",
             "rest: lambda=4,2,1 mu=2,2,2,1",
+        ]
+        assert lines[1:] == [
+            f"{name}: lambda={side.lam.format()} mu={side.mu.format()}"
+            for name, side in (("part", part), ("rest", rest))
         ]
 
     def test_column_budget(self, capsys):
@@ -262,7 +279,13 @@ class TestKostka:
         assert code == 0
         record = json.loads(out)
         kp = KostkaPair(Partition((4, 2)), Partition((3, 3)))
-        assert verify_column_split(kp, record["columns"])
+        part, rest = split_pair(kp, record["columns"])
+        assert [record[f"{p}_part"] for p in ("lambda", "mu")] == [
+            list(part.lam.parts), list(part.mu.parts)
+        ]
+        assert [record[f"{p}_rest"] for p in ("lambda", "mu")] == [
+            list(rest.lam.parts), list(rest.mu.parts)
+        ]
         total = [
             a + b
             for a, b in zip(

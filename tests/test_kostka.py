@@ -23,7 +23,6 @@ from gdp.kostka import (
     dominates,
     restrict_columns,
     split_pair,
-    verify_column_split,
 )
 from gdp.oracle import partitions_of
 from gdp.reducer import Irreducible
@@ -86,7 +85,7 @@ def column_split_exists(kp):
     n = kp.lam.first
     for size in range(1, n):
         for cols in itertools.combinations(range(1, n + 1), size):
-            if verify_column_split(kp, cols):
+            if _sides(kp, cols) is not None:
                 return True
     return False
 
@@ -260,19 +259,22 @@ class TestRestrictColumns:
 
 
 class TestVerifyColumnSplit:
+    # split_pair checks a column split, and raises ValueError on a bad one.
+
     def test_sample_columns(self):
         kp = KostkaPair(Partition((5, 3, 1)), Partition((3, 3, 2, 1)))
-        assert verify_column_split(kp, {1, 3, 5})
+        left, right = split_pair(kp, {1, 3, 5})
+        assert (left.lam.parts, left.mu.parts) == ((3, 2, 1), (2, 2, 1, 1))
+        assert (right.lam.parts, right.mu.parts) == ((2, 1), (1, 1, 1))
 
     def test_trivial_rejected(self):
         kp = KostkaPair(Partition((5, 3, 1)), Partition((3, 3, 2, 1)))
-        assert not verify_column_split(kp, set())
-        assert not verify_column_split(kp, range(1, 6))
-        assert not verify_column_split(kp, {9})
+        for columns in (set(), range(1, 6), {9}):
+            with pytest.raises(ValueError):
+                split_pair(kp, columns)
 
     def test_uneven_pair(self):
         kp = KostkaPair(Partition((4, 2)), Partition((3, 3)))
-        assert verify_column_split(kp, {1, 3, 4})
         left, right = split_pair(kp, {1, 3, 4})
         assert (left.lam.parts, left.mu.parts) == ((3, 1), (2, 2))
         assert (right.lam.parts, right.mu.parts) == ((1, 1), (1, 1))
@@ -284,9 +286,7 @@ class TestVerifyColumnSplit:
             n = kp.lam.first
             for size in range(0, n + 1):
                 for cols in itertools.combinations(range(1, n + 1), size):
-                    ok = reference_split_ok(kp.lam, kp.mu, cols)
-                    assert verify_column_split(kp, cols) == ok
-                    if not ok:
+                    if not reference_split_ok(kp.lam, kp.mu, cols):
                         with pytest.raises(ValueError):
                             split_pair(kp, cols)
                         continue
@@ -331,7 +331,6 @@ class TestBlockPath:
         assert reference_side_ok(kp.lam, kp.mu, {1, 4})
         assert not reference_side_ok(kp.lam, kp.mu, {2, 3})
         assert _sides(kp, {1, 4}) is None
-        assert not verify_column_split(kp, {1, 4})
         with pytest.raises(ValueError):
             split_pair(kp, {1, 4})
 
@@ -349,9 +348,8 @@ class TestCommonReduce:
         kp = KostkaPair(Partition((5, 3, 1)), Partition((3, 3, 2, 1)))
         out = common_reduce(kp)
         assert isinstance(out, ColumnSplit)
-        assert verify_column_split(kp, out.columns)
         assert out.columns == {3}  # the lowest zero column splits on its own
-        assert out.sides == split_pair(kp, out.columns)
+        assert split_pair(kp, out.columns) == out.sides
 
     def test_coprime_rectangles(self):
         kp = KostkaPair(Partition((2, 0)), Partition((1, 1)), 2)
@@ -395,7 +393,6 @@ class TestCommonReduce:
         for kp in pairs:
             out = common_reduce(kp)
             if isinstance(out, ColumnSplit):
-                assert verify_column_split(kp, out.columns)
                 left, right = split_pair(kp, out.columns)  # summands revalidate
                 assert left.size + right.size == kp.size
                 assert out.sides == (left, right)
@@ -416,8 +413,7 @@ class TestCommonReduce:
         for kp in dominance_pairs(10, 4):
             out = common_reduce(kp)
             if isinstance(out, ColumnSplit):
-                assert verify_column_split(kp, out.columns)
-                assert out.sides == split_pair(kp, out.columns)
+                assert split_pair(kp, out.columns) == out.sides
             else:
                 assert not column_split_exists(kp)
 
@@ -529,4 +525,4 @@ class TestCommonReduce:
         for kp in pairs:
             out = common_reduce(kp)
             assert isinstance(out, ColumnSplit)
-            assert verify_column_split(kp, out.columns)
+            assert split_pair(kp, out.columns) == out.sides

@@ -18,7 +18,6 @@ from gdp.catalan import (
 from gdp.kostka import KostkaPair, Partition, dominates
 from gdp.oracle import (
     BudgetExceededError,
-    all_catalan_subsets,
     enumerate_hilbert_basis,
     kostka_reducible_bruteforce,
     partitions_of,
@@ -27,7 +26,7 @@ from gdp.oracle import (
 from gdp.reducer import Irreducible, reduce
 
 from conftest import EX12
-from sweeps import catalan_corpus, dominance_pairs, random_catalan
+from sweeps import all_catalan_subsets, catalan_corpus, dominance_pairs, random_catalan
 
 
 def naive_pair_split(kp):

@@ -29,9 +29,6 @@ from gdp.reducer import (
     _phase_window,
     phase_profile,
     reduce,
-    reduce_equality,
-    reduce_strict,
-    reduce_y1,
 )
 from gdp.staircase import _greedy_order, build_pi, build_sigma
 
@@ -317,21 +314,19 @@ class TestPhaseProfile:
 class TestReduceStrict:
     def test_example_list(self):
         xs = SignedList(EX12)
-        d = reduce_strict(xs)
+        d = reduce(xs)
         assert is_valid_decomposition(xs, d.part)
         assert d.part == {2, 3, 6, 7, 8}  # deterministic pigeonhole choice
 
     def test_short_list(self):
         xs = SignedList((2, 1, -1, -1, -1))
-        d = reduce_strict(xs)
+        d = reduce(xs)
         assert is_valid_decomposition(xs, d.part)
         assert d.part == {2, 5}
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
-            reduce_strict(SignedList((1, -1)))  # cost == width
-        with pytest.raises(ValueError):
-            reduce_strict(SignedList((1, -1, 1)))  # not Catalan
+            reduce(SignedList((1, -1, 1)))  # not Catalan
 
     def test_always_valid_on_random_strict_instances(self):
         rng = random.Random(808)
@@ -342,25 +337,19 @@ class TestReduceStrict:
             if cost(xs) >= width(xs):
                 continue
             seen += 1
-            assert is_valid_decomposition(xs, reduce_strict(xs).part)
+            assert is_valid_decomposition(xs, reduce(xs).part)
 
     def test_deterministic(self):
         xs = SignedList(EX12)
-        assert reduce_strict(xs) == reduce_strict(xs)
+        assert reduce(xs) == reduce(xs)
 
 
 class TestReduceEquality:
     def test_alternating(self):
         xs = SignedList((1, -1, 1, -1))
-        d = reduce_equality(xs)
+        d = reduce(xs)
         assert is_valid_decomposition(xs, d.part)
         assert d.part == {1, 2}
-
-    def test_guard(self):
-        with pytest.raises(ValueError):
-            reduce_equality(SignedList((2, -2, 2, -2)))  # cost 8 > width 4
-        with pytest.raises(ValueError):
-            reduce_equality(SignedList((2, 1, -1, -2)))  # y == 1
 
     def test_two_peaks(self):
         # In the second list every phase is exactly full, and the first
@@ -373,7 +362,7 @@ class TestReduceEquality:
             xs = SignedList(entries)
             assert is_generalized_catalan(xs)
             assert cost(xs) == width(xs) == len(entries)
-            d = reduce_equality(xs)
+            d = reduce(xs)
             assert is_valid_decomposition(xs, d.part)
             assert d.part == part
 
@@ -386,19 +375,19 @@ class TestReduceEquality:
             if cost(xs) != width(xs) or run_profile(xs).y <= 1:
                 continue
             seen += 1
-            assert is_valid_decomposition(xs, reduce_equality(xs).part)
+            assert is_valid_decomposition(xs, reduce(xs).part)
 
 
 class TestReduceY1:
     def test_irreducible_certificate(self):
-        out = reduce_y1(SignedList((2, -1, -1)))
+        out = reduce(SignedList((2, -1, -1)))
         assert isinstance(out, Irreducible)
         assert (out.alpha1, out.beta1) == (2, 1)
         assert out.basis == "coprime"
 
     def test_gcd_split(self):
         xs = SignedList((2, 2, -2, -2))
-        out = reduce_y1(xs)
+        out = reduce(xs)
         assert isinstance(out, Decomposition)
         assert out.part == {1, 3}
         assert is_valid_decomposition(xs, out.part)
@@ -408,7 +397,7 @@ class TestReduceY1:
         # two running sums: the least pair gives {1, 2, 4}, the last {2, 5}.
         for entries, part in (((2, 1, -1, -2), {2, 3}), ((1, 2, 2, -3, -2), {1, 2, 4})):
             xs = SignedList(entries)
-            out = reduce_y1(xs)
+            out = reduce(xs)
             assert isinstance(out, Decomposition)
             assert out.part == part
             assert is_valid_decomposition(xs, out.part)
@@ -417,16 +406,10 @@ class TestReduceY1:
         # All up-run entries equal the maximum, down-run is not constant.
         xs = SignedList((3, 3, -3, -1, -1, -1))
         assert cost(xs) == width(xs) == 6
-        out = reduce_y1(xs)
+        out = reduce(xs)
         assert isinstance(out, Decomposition)
         assert is_valid_decomposition(xs, out.part)
         assert out.part == {1, 4, 5, 6}
-
-    def test_guard(self):
-        with pytest.raises(ValueError):
-            reduce_y1(SignedList((1, -1, 1, -1)))  # y == 2
-        with pytest.raises(ValueError):
-            reduce_y1(SignedList((3, 1, -2, -2)))  # cost 5 > width 4
 
     def test_matches_bruteforce_on_all_small_equality_instances(self):
         # Exhaustive over single-peak equality instances with entries in
@@ -436,7 +419,7 @@ class TestReduceY1:
         lists = single_peak_equality_lists()
         for entries in lists:
             xs = SignedList(entries)
-            out = reduce_y1(xs)
+            out = reduce(xs)
             witness = reducible_bruteforce(xs)
             reference = single_peak_reference(entries)
             if isinstance(out, Irreducible):
@@ -577,8 +560,8 @@ class TestReduceDispatch:
 
 def test_deciders_build_no_records(monkeypatch):
     # The deciders walk the private kernels: with the record types and the
-    # phase lister swapped for stubs that raise, reduce and reduce_y1 still
-    # decide the exhaustive single-peak set, and reduce the width <= 8
+    # phase lister swapped for stubs that raise, reduce still decides the
+    # exhaustive single-peak set as it does without them, and the width <= 8
     # corpus.  Before that, on every phase-split list of the corpus, the
     # decider's walk is build_pi's, and the window read off it is the first
     # overfull phase of the phase_profile record.
@@ -595,6 +578,8 @@ def test_deciders_build_no_records(monkeypatch):
         window = _phase_window(order, prof.runs, prof.alphas, prof.betas)
         assert window == reference_window(p, prof), xs
 
+    answers = [reduce(xs) for xs in single_peak]
+
     def refuse(*args, **kwargs):
         raise AssertionError("a decider built a record")
 
@@ -607,35 +592,10 @@ def test_deciders_build_no_records(monkeypatch):
         "gdp.catalan.RunProfile",
     ):
         monkeypatch.setattr(target, refuse)
-    for xs in single_peak:
-        assert reduce(xs) == reduce_y1(xs)
+    for xs, want in zip(single_peak, answers):
+        assert reduce(xs) == want, xs
     for xs in corpus:
         reduce(xs)
-
-
-def test_regime_deciders_refuse_before_any_path():
-    # cost > width with a search table far past its budget: each regime
-    # decider refuses with ValueError before the search could raise.
-    huge = SignedList((10**30, -10**30))
-    for decider in (reduce_strict, reduce_equality, reduce_y1):
-        with pytest.raises(ValueError, match="cost > width"):
-            decider(huge)
-    # Over the width <= 8 corpus, a list with cost <= width is accepted by
-    # exactly one regime decider, which answers as reduce does; a list with
-    # cost > width is refused by all three.
-    for rows in catalan_corpus(8).values():
-        for row in rows:
-            xs = SignedList(tuple(map(int, row)))
-            answers = []
-            for decider in (reduce_strict, reduce_equality, reduce_y1):
-                try:
-                    answers.append(decider(xs))
-                except ValueError:
-                    pass
-            if cost(xs) <= width(xs):
-                assert answers == [reduce(xs)], xs
-            else:
-                assert answers == [], xs
 
 
 # Certificates from a patched decider whose grounds do not hold, each with
@@ -658,27 +618,27 @@ def test_forged_certificates_raise(monkeypatch, entries, fields):
 
 def test_true_certificates_pass_their_checks():
     assert reduce(SignedList((2, -1, -1))) == Irreducible(2, 1, "coprime")
-    assert reduce_y1(SignedList((3, 3, -2, -2, -2))) == Irreducible(3, 2, "coprime")
+    assert reduce(SignedList((3, 3, -2, -2, -2))) == Irreducible(3, 2, "coprime")
     assert reduce(SignedList((5, 5, 5, -4, -4, -4, -3))).basis == "search"
 
 
 def test_rejected_witnesses_raise(monkeypatch):
-    # With the witness check made to reject everything, every public decider
-    # raises rather than return an unchecked decomposition: 3,-3,3,-3,1,-1
-    # is split by the first-block rule, and 4,3,-3,-4 by the search table.
+    # With the witness check made to reject everything, reduce raises rather
+    # than return an unchecked decomposition, on every path:
+    # 3,-3,3,-3,1,-1 is split by the first-block rule, and 4,3,-3,-4 by the
+    # search table.
     monkeypatch.setattr(gdp.reducer, "is_valid_decomposition", lambda xs, part: False)
-    for decider, entries in (
-        (reduce, EX12),
-        (reduce, (1, -1, 1, -1)),
-        (reduce, (2, 2, -2, -2)),
-        (reduce, (3, -3, 3, -3, 1, -1)),
-        (reduce, (4, 3, -3, -4)),
-        (reduce_strict, (2, 1, -1, -1, -1)),
-        (reduce_equality, (1, -1, 1, -1)),
-        (reduce_y1, (2, 1, -1, -2)),
+    for entries in (
+        EX12,
+        (1, -1, 1, -1),
+        (2, 2, -2, -2),
+        (3, -3, 3, -3, 1, -1),
+        (4, 3, -3, -4),
+        (2, 1, -1, -1, -1),
+        (2, 1, -1, -2),
     ):
         with pytest.raises(RuntimeError, match="not a valid decomposition") as info:
-            decider(SignedList(entries))
+            reduce(SignedList(entries))
         assert info.type is RuntimeError
 
 

@@ -3,11 +3,15 @@ import random
 import pytest
 
 from gdp.catalan import SignedList, is_generalized_catalan, sublist
-from gdp.oracle import all_catalan_subsets
 from gdp.staircase import GreedyPermutation, build_pi, build_sigma
 
 from conftest import EX12
-from sweeps import check_order_transfer, random_catalan, restrict_through
+from sweeps import (
+    all_catalan_subsets,
+    check_order_transfer,
+    random_catalan,
+    restrict_through,
+)
 
 EX12_ONE_LINE = (1, 5, 2, 6, 7, 3, 8, 4, 9, 10, 11, 15, 12, 16, 17, 13, 18, 14, 19)
 EX12_REORDERED = (5, -3, 5, -3, -3, 4, -3, 4, -3, -1, 5, -4, 5, -4, -4, 5, -4, 3, -4)

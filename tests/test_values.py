@@ -1,6 +1,7 @@
-"""The contract of the package's value types, and what importing the CLI
-costs: frozen, slotted values that compare, hash, print and pickle by their
-fields, and a ``gdp.cli`` import that loads no heavy standard modules."""
+"""The contract of the package's value types, its public names, and what
+importing the CLI costs: frozen, slotted values that compare, hash, print
+and pickle by their fields, a fixed ``gdp.__all__``, and a ``gdp.cli``
+import that loads no heavy standard modules."""
 import copy
 import json
 import os
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import gdp
 from gdp.catalan import Decomposition, RunProfile, SignedList
 from gdp.kostka import ColumnSplit, KostkaIrreducible, KostkaPair, Partition
 from gdp.reducer import Irreducible, PhaseProfile
@@ -138,3 +140,25 @@ def test_cli_import_loads_no_heavy_modules():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
+
+
+# The public surface: what a test alone calls lives in the tests.
+PUBLIC_NAMES = [
+    "BudgetExceededError", "ColumnSplit", "Decomposition", "GreedyPermutation",
+    "Irreducible", "KostkaIrreducible", "KostkaPair", "ParseError", "Partition",
+    "PhaseProfile", "ReduceOutcome", "RunProfile", "SignedList", "build_pi",
+    "build_sigma", "column_vector", "common_reduce", "complement", "conjugate",
+    "cost", "dominates", "enumerate_hilbert_basis", "is_generalized_catalan",
+    "is_valid_decomposition", "kostka_reducible_bruteforce", "path_points",
+    "phase_profile", "reduce", "reducible_bruteforce", "render_svg",
+    "restrict_columns", "run_profile", "split_pair", "sublist", "width",
+]
+
+
+def test_public_names():
+    assert sorted(gdp.__all__) == PUBLIC_NAMES
+    assert all(hasattr(gdp, name) for name in PUBLIC_NAMES)
+    star = {}
+    exec("from gdp import *", star)
+    del star["__builtins__"]
+    assert sorted(star) == PUBLIC_NAMES
