@@ -39,7 +39,7 @@ from .reducer import (
     reduce,
 )
 from .render import path_points, render_svg
-from .staircase import GreedyPermutation, build_pi, build_sigma
+from .staircase import GreedyPermutation, build_pi
 
 __version__ = "0.1.0"
 
@@ -58,7 +58,6 @@ __all__ = [
     "RunProfile",
     "SignedList",
     "build_pi",
-    "build_sigma",
     "column_vector",
     "common_reduce",
     "complement",

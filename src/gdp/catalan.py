@@ -29,13 +29,13 @@ class BudgetExceededError(RuntimeError):
 
 
 def _decimal(n: int) -> str:
-    """A positive ``n`` in decimal, for a budget refusal; past the digits
-    that ``str`` writes out (4,300 by default), its order of magnitude, so
-    that the refusal itself never fails."""
+    """``n`` in decimal, for a refusal; past the digits that ``str`` writes
+    out (4,300 by default), its sign and order of magnitude, so that the
+    refusal itself never fails."""
     try:
         return str(n)
     except ValueError:
-        return f"about 10^{round(math.log10(n))}"
+        return f"about {'-' * (n < 0)}10^{round(math.log10(abs(n)))}"
 
 
 _EMPTY_TOKEN = re.compile(r"(?:^|,)\s*(?:,|$)")

@@ -180,9 +180,6 @@ def cmd_render(args, operands) -> int:
         highlight = parse_ints(
             frozenset, args.highlight, "highlight positions", "highlight position"
         )
-        bad = [p for p in highlight if not 1 <= p <= len(xs)]
-        if bad:
-            raise ParseError(f"highlight position {bad[0]} out of range")
     svg = render_svg(xs, highlight=highlight, scale=args.scale, axis=args.axis)
     if args.output:
         try:

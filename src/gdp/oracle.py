@@ -154,12 +154,12 @@ def enumerate_hilbert_basis(r: int, n_max: int) -> list[KostkaPair]:
     bound below 1 is a ValueError.
     """
     if r < 1:
-        raise ValueError(f"row bound {r} is below 1")
+        raise ValueError(f"row bound {_decimal(r)} is below 1")
     if r > 4:
         raise BudgetExceededError("row bound must be between 1 and 4")
     if n_max > MAX_PAIR_SIZE:
         raise BudgetExceededError(
-            f"size bound {n_max} exceeds the budget {MAX_PAIR_SIZE}"
+            f"size bound {_decimal(n_max)} exceeds the budget {MAX_PAIR_SIZE}"
         )
     basis = []
     for n in range(1, n_max + 1):

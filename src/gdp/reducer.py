@@ -34,11 +34,12 @@ first that settles the pigeonhole (:func:`_phase_window`); only
 
 One private core, :func:`_decide`, runs the run kernel ``catalan._runs``
 once, names the regime and passes the entries, runs and run maxima to that
-regime's private path, which walks the private kernels of ``staircase``; so
-no decider builds a record but its outcome.  :func:`reduce` validates the
-list, decides it and checks the outcome by code that also runs under
-``python -O`` (a failed check raises RuntimeError): a decomposition, or the
-grounds of a certificate (:func:`_check_certificate`).
+regime's private path, which walks ``staircase._greedy_order`` or, for a
+single peak, its own values; so no decider builds a record but its
+outcome.  :func:`reduce` validates the list, decides it and checks the
+outcome by code that also runs under ``python -O`` (a failed check raises
+RuntimeError): a decomposition, or the grounds of a certificate
+(:func:`_check_certificate`).
 ``kostka.common_reduce`` calls :func:`_decide` and
 :func:`_check_certificate`.
 """
@@ -58,7 +59,7 @@ from .catalan import (
     is_valid_decomposition,
     require_catalan,
 )
-from .staircase import GreedyPermutation, _greedy_order, _sigma_order
+from .staircase import GreedyPermutation, _greedy_order
 
 # The cost > width search keeps one table: a bitset of at most H + 1 bits for
 # each of the t positions; wider tables are refused before any is built.
@@ -215,15 +216,20 @@ def _y1_zero_multiset(ups, downs):
     """A proper nonempty zero-sum value multiset of a single-peak list.
 
     ``ups`` are the up-run values (some strictly below their maximum) and
-    ``downs`` the down-run values in order.  Sorts the up-run ascending and
-    reorders greedily; the running sums M_0 = 0, M_1, ..., M_{t-1} take t
-    values over t - 1 possible ones, so two collide.  Returns the values of
-    the steps between the least pair, which starts at step 0 when the walk
-    returns to zero.
+    ``downs`` the down-run values in order.  Walks the values greedily: the
+    smallest up value first, then the next down value while the running sum
+    is nonnegative, else the next up value in ascending order.  The running
+    sums M_0 = 0, M_1, ..., M_{t-1} take t values over t - 1 possible ones,
+    so two collide.  Returns the values of the steps between the least pair,
+    which starts at step 0 when the walk returns to zero.
     """
-    _, steps = _sigma_order(tuple(sorted(ups)) + tuple(downs))
-    walk = accumulate(steps[:-1], initial=0)  # M_0 .. M_{t-1}
-    q1, q2 = _lex_least_equal_pair(enumerate(walk))
+    up, down = iter(sorted(ups)), iter(downs)
+    steps = [next(up)]
+    running = steps[0]
+    for _ in range(len(ups) + len(downs) - 2):  # steps 2 .. t - 1
+        steps.append(next(down if running >= 0 else up))
+        running += steps[-1]
+    q1, q2 = _lex_least_equal_pair(enumerate(accumulate(steps, initial=0)))
     return steps[q1:q2]
 
 

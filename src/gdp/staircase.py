@@ -1,26 +1,16 @@
-"""Greedy reorderings of a signed list that keep bookkeeping for splitting.
+"""The greedy reordering of a generalized Catalan list, a bijection of [t]
+written in one-line notation.
 
-Two closely related constructions are provided, both bijections of [t]
-written in one-line notation:
-
-``build_pi``
-    Walks the list taking the next unused negative entry whenever the running
-    sum would stay nonnegative, otherwise the next unused positive entry.
-    The reordered list is always generalized Catalan, and the reordering
-    preserves relative order among positives, among negatives, and never
-    moves a positive entry ahead of an earlier negative one (the three
-    order-transfer clauses).
-
-``build_sigma``
-    Same greedy flavour but the branch looks at the current running sum
-    rather than ahead: take the next negative entry while the running sum is
-    nonnegative, otherwise the next positive one.  Defined for any list with
-    zero total; the running sums may go negative.  Its private kernel,
-    ``_sigma_order``, serves the reducer's single-peak equality case.
+``build_pi`` walks the list taking the next unused negative entry whenever
+the running sum would stay nonnegative, otherwise the next unused positive
+entry.  The reordered list is always generalized Catalan, and the
+reordering preserves relative order among positives, among negatives, and
+never moves a positive entry ahead of an earlier negative one (the three
+order-transfer clauses).  Its private kernel, ``_greedy_order``, serves the
+reducer's phase split.
 """
 from __future__ import annotations
 
-from itertools import accumulate
 from operator import sub
 
 from .catalan import SignedList, _Value, require_catalan
@@ -88,40 +78,3 @@ def _greedy_order(entries):
         order.append(nxt)
         sums.append(running)
     return order, sums
-
-
-def build_sigma(xs: SignedList) -> GreedyPermutation:
-    """Greedy reordering of any zero-sum list, branching on the current sum.
-
-    Step 1 takes position 1.  Each later step takes the least unused
-    negative position when the running sum so far is nonnegative, else the
-    least unused positive position.  Zero total guarantees the wanted side
-    is never exhausted.  Raises ValueError on empty or nonzero-sum input.
-    """
-    entries = xs.entries
-    if not entries:
-        raise ValueError("cannot reorder an empty list")
-    if sum(entries) != 0:
-        raise ValueError("input list must have zero total sum")
-    one_line, steps = _sigma_order(entries)
-    return GreedyPermutation(one_line, SignedList(steps), tuple(accumulate(steps)))
-
-
-def _sigma_order(entries: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The positions, 1-based, in the order :func:`build_sigma` visits them,
-    and their entries, for nonzero entries already known to be nonempty
-    with zero total."""
-    negs = iter([pos for pos, e in enumerate(entries, 1) if e < 0])
-    poss = iter([pos for pos, e in enumerate(entries, 1) if e > 0])
-    ext = (0,) + entries  # ext[pos]: the entry at 1-based position pos
-    next(poss if entries[0] > 0 else negs)  # step 1 takes position 1
-    order = [1]
-    running = entries[0]
-    for _ in range(len(entries) - 1):
-        if running >= 0:
-            nxt = next(negs)
-        else:
-            nxt = next(poss)
-        running += ext[nxt]
-        order.append(nxt)
-    return tuple(order), tuple(map(ext.__getitem__, order))

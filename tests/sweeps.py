@@ -207,6 +207,61 @@ def random_catalan(t: int, rng, lo: int = -3, hi: int = 3) -> tuple[int, ...]:
     return tuple(vals)
 
 
+def _bounded_parts(rng, total, n, cap):
+    """n random parts in [1, cap], one of them cap, summing to total, for
+    cap + n - 1 <= total <= cap * n; each part draws from what keeps the
+    rest reachable."""
+    parts = [cap] + [1] * (n - 1)
+    rest = total - cap - (n - 1)
+    for i in range(1, n):
+        add = rng.randint(max(0, rest - (cap - 1) * (n - 1 - i)), min(cap - 1, rest))
+        parts[i] += add
+        rest -= add
+    rng.shuffle(parts)
+    return parts
+
+
+def random_single_peak(rng, max_width: int) -> tuple[int, ...]:
+    """A random single-peak list with cost = width, of width 2..max_width:
+    draw the run maxima alpha + beta = t and the up-run length, then an
+    up-run and a down-run with those maxima and one common sum."""
+    while True:
+        t = rng.randint(2, max_width)
+        alpha, n_up = rng.randint(1, t - 1), rng.randint(1, t - 1)
+        beta, n_down = t - alpha, t - n_up
+        lo = max(alpha + n_up - 1, beta + n_down - 1)
+        hi = min(alpha * n_up, beta * n_down)
+        if lo <= hi:
+            total = rng.randint(lo, hi)
+            ups = _bounded_parts(rng, total, n_up, alpha)
+            downs = _bounded_parts(rng, total, n_down, beta)
+            return tuple(ups) + tuple(-v for v in downs)
+
+
+def reference_sigma(entries):
+    """Literal transcription of the current-sum greedy rule on a zero-sum
+    list: step 1 takes position 1, and each later step scans for the least
+    unused negative position while the running sum is nonnegative, else the
+    least unused positive position.  Returns the positions in visiting
+    order."""
+    t = len(entries)
+    used = [False] * (t + 1)
+    order = [1]
+    used[1] = True
+    running = entries[0]
+    for _ in range(t - 1):
+        wanted_negative = running >= 0
+        nxt = next(
+            i
+            for i in range(1, t + 1)
+            if not used[i] and (entries[i - 1] < 0) == wanted_negative
+        )
+        used[nxt] = True
+        order.append(nxt)
+        running += entries[nxt - 1]
+    return tuple(order)
+
+
 def check_order_transfer(xs, p) -> bool:
     """Check the three order-transfer clauses of the greedy reordering.
 

@@ -236,10 +236,14 @@ class TestHilbertBasis:
             enumerate_hilbert_basis(5, 2)
         with pytest.raises(BudgetExceededError):
             enumerate_hilbert_basis(2, 99)
+        # Past Python's 4,300-digit str limit, the refusal gives the order
+        # of magnitude, not the conversion's own error.
+        with pytest.raises(BudgetExceededError, match=r"size bound about 10\^5000 exceeds"):
+            enumerate_hilbert_basis(1, 10**5000)
 
     def test_row_bound_below_one_is_invalid(self):
-        for r in (0, -2):
-            with pytest.raises(ValueError, match="below 1"):
+        for r, text in ((0, "0"), (-2, "-2"), (-10**5000, r"about -10\^5000")):
+            with pytest.raises(ValueError, match=f"row bound {text} is below 1"):
                 enumerate_hilbert_basis(r, 2)
 
     def test_matches_naive_pair_scan(self):

@@ -30,7 +30,7 @@ from gdp.reducer import (
     phase_profile,
     reduce,
 )
-from gdp.staircase import _greedy_order, build_pi, build_sigma
+from gdp.staircase import _greedy_order, build_pi
 
 from conftest import EX12
 from sweeps import (
@@ -39,6 +39,8 @@ from sweeps import (
     dominance_pairs,
     phase_invariants_ok,
     random_catalan,
+    random_single_peak,
+    reference_sigma,
 )
 
 
@@ -56,16 +58,22 @@ def single_peak_equality_lists():
     return lists
 
 
+def sigma_steps(ups, downs):
+    """The values of the sorted up-run and the down-run in the order of the
+    current-sum greedy walk, ``sweeps.reference_sigma``."""
+    entries = tuple(sorted(ups)) + tuple(downs)
+    return [entries[pos - 1] for pos in reference_sigma(entries)]
+
+
 def sigma_cut_values(ups, downs):
     """Values between the least equal pair of running sums M_0 .. M_{t-1}
-    of the public ``build_sigma`` record of the sorted up-run and the
-    down-run."""
-    sig = build_sigma(SignedList(tuple(sorted(ups)) + tuple(downs)))
-    walk = (0,) + sig.running_sums[:-1]
+    of :func:`sigma_steps`."""
+    steps = sigma_steps(ups, downs)
+    walk = list(accumulate(steps[:-1], initial=0))
     q1, q2 = min(
         (i, j) for j in range(len(walk)) for i in range(j) if walk[i] == walk[j]
     )
-    return sig.reordered.entries[q1:q2]
+    return steps[q1:q2]
 
 
 def single_peak_reference(entries):
@@ -414,8 +422,7 @@ class TestReduceY1:
     def test_matches_bruteforce_on_all_small_equality_instances(self):
         # Exhaustive over single-peak equality instances with entries in
         # [-4, 4]: the verdict matches the brute force, and the witness is
-        # the one the public build_sigma record gives (see
-        # single_peak_reference).
+        # the one the literal greedy walk gives (see single_peak_reference).
         lists = single_peak_equality_lists()
         for entries in lists:
             xs = SignedList(entries)
@@ -430,6 +437,17 @@ class TestReduceY1:
                 assert out.part == reference, entries
         assert len(lists) > 50
 
+    def test_wide_lists_match_the_reference(self):
+        # Random lists of width up to 60, whose run maxima go far past the
+        # exhaustive set's 4: the witness is the literal greedy walk's, and
+        # a certificate comes where the reference finds no witness.
+        rng = random.Random(606)
+        for _ in range(300):
+            entries = random_single_peak(rng, 60)
+            out = reduce(SignedList(entries))
+            part = out.part if isinstance(out, Decomposition) else None
+            assert part == single_peak_reference(entries), entries
+
     def test_sigma_running_sum_bounds(self):
         # On a single-peak equality instance whose up-run is sorted so the
         # minimum comes first, the greedy walk stays inside
@@ -441,7 +459,7 @@ class TestReduceY1:
             alpha, beta = max(ups), max(-d for d in downs)
             if min(ups) == alpha:
                 continue
-            sums = build_sigma(SignedList(tuple(sorted(ups)) + downs)).running_sums
+            sums = tuple(accumulate(sigma_steps(ups, downs)))
             if 0 in sums[: len(entries) - 1]:
                 continue
             checked += 1

@@ -86,6 +86,13 @@ class TestRenderSvg:
         assert svg.count('class="axis"') == 2
         assert 'class="seg"' in svg
 
+    def test_rejects_highlight_out_of_range(self):
+        # A highlight names positions 1..t; one outside would leave the
+        # highlighted part empty while the rest is drawn as its complement.
+        for pos in (9, 0):
+            with pytest.raises(ValueError, match=f"highlight position {pos} out of range"):
+                render_svg(SignedList((1, -1)), highlight={pos})
+
     def test_rejects_bad_scale(self):
         # A scale must be positive and leave every coordinate a finite float.
         huge = 10**400

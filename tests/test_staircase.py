@@ -3,7 +3,7 @@ import random
 import pytest
 
 from gdp.catalan import SignedList, is_generalized_catalan, sublist
-from gdp.staircase import GreedyPermutation, build_pi, build_sigma
+from gdp.staircase import GreedyPermutation, build_pi
 
 from conftest import EX12
 from sweeps import (
@@ -34,26 +34,6 @@ def reference_pi(entries):
             nxt = s
         else:
             nxt = next(i for i in range(1, t + 1) if not used[i] and entries[i - 1] > 0)
-        used[nxt] = True
-        order.append(nxt)
-        running += entries[nxt - 1]
-    return tuple(order)
-
-
-def reference_sigma(entries):
-    """Literal transcription of the current-sum greedy rule."""
-    t = len(entries)
-    used = [False] * (t + 1)
-    order = [1]
-    used[1] = True
-    running = entries[0]
-    for _ in range(t - 1):
-        wanted_negative = running >= 0
-        nxt = next(
-            i
-            for i in range(1, t + 1)
-            if not used[i] and (entries[i - 1] < 0) == wanted_negative
-        )
         used[nxt] = True
         order.append(nxt)
         running += entries[nxt - 1]
@@ -107,47 +87,6 @@ class TestBuildPi:
             assert p.running_sums == tuple(
                 sum(p.reordered.entries[:q]) for q in range(1, len(entries) + 1)
             )
-
-
-class TestBuildSigma:
-    # The current-sum rule takes the next negative entry while the running
-    # sum is >= 0, so a sum of exactly zero is followed by a negative step.
-    def test_ascending_pairs(self):
-        s = build_sigma(SignedList((1, 2, -1, -2)))
-        assert s.one_line == (1, 3, 4, 2)
-        assert s.reordered.entries == (1, -1, -2, 2)
-        assert s.running_sums == (1, 0, -2, 0)
-
-    def test_forced_pair(self):
-        assert build_sigma(SignedList((1, -1))).one_line == (1, 2)
-
-    def test_equal_entries(self):
-        s = build_sigma(SignedList((2, 2, -2, -2)))
-        assert s.one_line == (1, 3, 4, 2)
-        assert s.reordered.entries == (2, -2, -2, 2)
-
-    def test_rejects_nonzero_sum(self):
-        with pytest.raises(ValueError, match="zero total sum"):
-            build_sigma(SignedList((1, 1, -1)))
-
-    def test_rejects_empty_list(self):
-        with pytest.raises(ValueError, match="empty list"):
-            build_sigma(SignedList(()))
-
-    def test_allows_negative_start(self):
-        s = build_sigma(SignedList((-2, 1, 1)))
-        assert s.one_line == (1, 2, 3)
-        assert s.running_sums == (-2, -1, 0)
-
-    def test_matches_reference_on_random_zero_sum_lists(self):
-        rng = random.Random(202)
-        for _ in range(400):
-            entries = list(random_catalan(rng.randint(2, 12), rng))
-            rng.shuffle(entries)  # zero sum, arbitrary sign pattern
-            entries = tuple(entries)
-            s = build_sigma(SignedList(entries))
-            assert s.one_line == reference_sigma(entries)
-            assert sorted(s.one_line) == list(range(1, len(entries) + 1))
 
 
 class TestOrderTransfer:

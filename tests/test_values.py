@@ -147,8 +147,8 @@ PUBLIC_NAMES = [
     "BudgetExceededError", "ColumnSplit", "Decomposition", "GreedyPermutation",
     "Irreducible", "KostkaIrreducible", "KostkaPair", "ParseError", "Partition",
     "PhaseProfile", "ReduceOutcome", "RunProfile", "SignedList", "build_pi",
-    "build_sigma", "column_vector", "common_reduce", "complement", "conjugate",
-    "cost", "dominates", "enumerate_hilbert_basis", "is_generalized_catalan",
+    "column_vector", "common_reduce", "complement", "conjugate", "cost",
+    "dominates", "enumerate_hilbert_basis", "is_generalized_catalan",
     "is_valid_decomposition", "kostka_reducible_bruteforce", "path_points",
     "phase_profile", "reduce", "reducible_bruteforce", "render_svg",
     "restrict_columns", "run_profile", "split_pair", "sublist", "width",
