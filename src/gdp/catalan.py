@@ -12,6 +12,13 @@ Conventions used throughout the package:
   * zero entries are rejected at construction time; a Kostka column vector
     may hold zeros, and ``KostkaPair``'s dominance check is what validates
     it.
+
+A decomposition is checked by one private kernel, ``_splits(entries,
+part)``, a single pass over the list that reads a set of ints as it is;
+``is_valid_decomposition`` maps its positions to such a set and calls it,
+and ``reducer.reduce`` calls it on the set its decider built.  The deciders
+build their ``Decomposition`` through ``_unchecked_decomposition``, which
+keeps that set without the public constructor's copy.
 """
 from __future__ import annotations
 
@@ -183,7 +190,9 @@ class RunProfile(_Value):
 
 class Decomposition(_Value):
     """A set of positions whose sublist and complementary sublist are both
-    generalized Catalan (checked by :func:`is_valid_decomposition`)."""
+    generalized Catalan (checked by :func:`is_valid_decomposition`).  The
+    constructor maps the positions to ints and refuses an empty set; the
+    deciders build theirs with :func:`_unchecked_decomposition`."""
 
     __slots__ = ("part",)
 
@@ -196,6 +205,15 @@ class Decomposition(_Value):
     @property
     def positions(self) -> tuple[int, ...]:
         return tuple(sorted(self.part))
+
+
+def _unchecked_decomposition(part: frozenset[int]) -> Decomposition:
+    """The decomposition of a frozenset of ints, built without a check or a
+    copy: the caller vouches for it, and ``reducer.reduce`` checks every one
+    it returns (:func:`_splits`)."""
+    d = object.__new__(Decomposition)
+    object.__setattr__(d, "part", part)
+    return d
 
 
 def is_generalized_catalan(xs: SignedList) -> bool:
@@ -288,22 +306,26 @@ def complement(positions, t: int) -> frozenset[int]:
 
 def is_valid_decomposition(xs: SignedList, positions) -> bool:
     """True iff the positions and their complement are both nonempty and both
-    carry generalized Catalan sublists.
+    carry generalized Catalan sublists: :func:`_splits` over the positions
+    as a set of ints."""
+    return _splits(xs.entries, set(map(_as_int, positions)))
 
-    One pass over the list keeps the running sums of both sublists.
-    """
-    t = len(xs.entries)
-    chosen = set(map(_as_int, positions))
-    if not chosen or len(chosen) >= t or not 1 <= min(chosen) <= max(chosen) <= t:
-        return False
-    part = rest = 0
-    for pos, e in enumerate(xs.entries, 1):
-        if pos in chosen:
-            part += e
-            if part < 0:
+
+def _splits(entries, part) -> bool:
+    """True iff the set of ints ``part`` splits the entries: one pass keeps
+    the running sums of both sublists, which must stay nonnegative and end
+    at zero, and counts the members of ``part`` it meets.  A member outside
+    [t] is never met, so ``0 < n == len(part) < t`` says that the part is a
+    proper nonempty subset of [t] with no range test."""
+    n = part_sum = rest = 0
+    for pos, e in enumerate(entries, 1):
+        if pos in part:
+            n += 1
+            part_sum += e
+            if part_sum < 0:
                 return False
         else:
             rest += e
             if rest < 0:
                 return False
-    return part == rest == 0
+    return part_sum == rest == 0 and 0 < n == len(part) < len(entries)

@@ -36,9 +36,12 @@ One private core, :func:`_decide`, runs the run kernel ``catalan._runs``
 once, names the regime and passes the entries, runs and run maxima to that
 regime's private path, which walks ``staircase._greedy_order`` or, for a
 single peak, its own values; so no decider builds a record but its
-outcome.  :func:`reduce` validates the list, decides it and checks the
-outcome by code that also runs under ``python -O`` (a failed check raises
-RuntimeError): a decomposition, or the grounds of a certificate
+outcome, and a decomposition is built from the decider's own frozenset of
+positions with no copy (``catalan._unchecked_decomposition``).
+:func:`reduce` validates the list, decides it and checks the outcome by
+code that also runs under ``python -O`` (a failed check raises
+RuntimeError): a decomposition by the witness kernel ``catalan._splits``
+on that same set, or the grounds of a certificate
 (:func:`_check_certificate`).
 ``kostka.common_reduce`` calls :func:`_decide` and
 :func:`_check_certificate`.
@@ -55,8 +58,9 @@ from .catalan import (
     SignedList,
     _decimal,
     _runs,
+    _splits,
+    _unchecked_decomposition,
     _Value,
-    is_valid_decomposition,
     require_catalan,
 )
 from .staircase import GreedyPermutation, _greedy_order
@@ -112,8 +116,16 @@ def phase_profile(p: GreedyPermutation, prof: RunProfile) -> PhaseProfile:
     visited earlier, or later.  Likewise the steps that a phase does not
     count are exactly its run's entries, so each count is the window's
     length less its run's.
+
+    Raises ValueError unless ``prof.runs`` are the runs of the list that
+    ``p`` reorders, rebuilt in O(t) from ``p.one_line`` and ``p.reordered``.
     """
     order, runs, t = p.one_line, prof.runs, len(p.one_line)
+    entries = [0] * t
+    for pos, e in zip(order, p.reordered.entries):
+        entries[pos - 1] = e
+    if not entries or tuple(_runs(entries)[0]) != runs:
+        raise ValueError("the run profile is not that of the list the permutation reorders")
     # Runs alternate from an up-run.  Gammas and deltas strictly increase
     # (order transfer), so each ``index`` resumes at the last: O(t) each.
     ups, downs = runs[0::2], runs[1::2]
@@ -209,7 +221,7 @@ def _phase_split(entries, runs, alphas, betas):
     keyed = [(h, sums[h]) for h in range(lo, hi + 1)
              if sums[h] < sums[h + side] or not h]
     h1, h2 = _lex_least_equal_pair(keyed)
-    return Decomposition(frozenset(order[h1:h2]))
+    return _unchecked_decomposition(frozenset(order[h1:h2]))
 
 
 def _y1_zero_multiset(ups, downs):
@@ -275,7 +287,7 @@ def _single_peak(entries, runs, alphas, betas):
             return Irreducible(alpha, beta, "coprime")
         values = [alpha] * (beta // g) + [-beta] * (alpha // g)
 
-    return Decomposition(_leftmost_positions(entries, values))
+    return _unchecked_decomposition(_leftmost_positions(entries, values))
 
 
 def _search(entries, runs, alphas, betas):
@@ -320,7 +332,7 @@ def _search(entries, runs, alphas, betas):
         )
     q0 = sums.index(0, 1)
     if q0 < t:
-        return Decomposition(frozenset(range(1, q0 + 1)))
+        return _unchecked_decomposition(frozenset(range(1, q0 + 1)))
     reach_gap = [0] * (t + 1)
     gap = 0
     for q in range(t, 1, -1):
@@ -344,7 +356,7 @@ def _search(entries, runs, alphas, betas):
             s = v
         else:
             left_out = True
-    return Decomposition(frozenset(part))
+    return _unchecked_decomposition(frozenset(part))
 
 
 def _decide(entries):
@@ -396,8 +408,10 @@ def reduce(xs: SignedList) -> ReduceOutcome:
 
     Validates the list once, dispatches on the regime (:func:`_decide`) and
     checks the outcome by code that also runs under ``python -O``
-    (RuntimeError when it fails): a decomposition by
-    :func:`is_valid_decomposition`, a certificate by
+    (RuntimeError when it fails): a decomposition by the witness kernel
+    ``catalan._splits``, which :func:`is_valid_decomposition` also calls,
+    on the decider's own set of positions, so an empty part or a position
+    outside [t] fails the check; a certificate by
     :func:`_check_certificate`.  The cost > width regime has no structural
     criterion and is settled by a search in O(t * H) time and bits, for
     width t and largest prefix sum H; BudgetExceededError is raised, before
@@ -407,7 +421,7 @@ def reduce(xs: SignedList) -> ReduceOutcome:
     outcome = _decide(xs.entries)
     if isinstance(outcome, Irreducible):
         return _check_certificate(xs.entries, outcome, xs)
-    if is_valid_decomposition(xs, outcome.part):
+    if _splits(xs.entries, outcome.part):
         return outcome
     raise RuntimeError(
         f"internal error: the decider gave {outcome} for {xs.format()}, "

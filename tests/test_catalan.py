@@ -1,4 +1,5 @@
 import itertools
+import pickle
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -7,6 +8,8 @@ from gdp.catalan import (
     Decomposition,
     ParseError,
     SignedList,
+    _splits,
+    _unchecked_decomposition,
     complement,
     cost,
     is_generalized_catalan,
@@ -283,15 +286,23 @@ class TestIsValidDecomposition:
         )
 
     def test_matches_sublist_reference_on_every_small_split(self):
-        # Every position set of every Catalan list of width <= 6 in [-3, 3].
+        # Every position set of every Catalan list of width <= 6 in [-3, 3],
+        # alone and with 0 or t + 1 added, through the public check and
+        # through the kernel given a frozenset, as ``reduce`` gives it.
         for t, rows in catalan_corpus(max_t=6).items():
             for row in rows.tolist():
                 xs = SignedList(tuple(row))
                 for size in range(t + 1):
                     for part in itertools.combinations(range(1, t + 1), size):
-                        assert is_valid_decomposition(xs, part) == (
-                            definitional_valid_decomposition(xs, part)
-                        ), (row, part)
+                        for extra in ((), (0,), (t + 1,)):
+                            positions = part + extra
+                            want = definitional_valid_decomposition(xs, positions)
+                            assert is_valid_decomposition(xs, positions) == want, (
+                                row, positions
+                            )
+                            assert _splits(xs.entries, frozenset(positions)) == want, (
+                                row, positions
+                            )
 
 
 class TestDecomposition:
@@ -301,3 +312,14 @@ class TestDecomposition:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             Decomposition(frozenset())
+
+    def test_unchecked_builder_keeps_the_set(self):
+        # The deciders' builder stores their own frozenset, uncopied, and
+        # gives the value that the public constructor gives.
+        part = frozenset({3, 1, 2})
+        d = _unchecked_decomposition(part)
+        assert d.part is part
+        assert d == Decomposition([1, 2, 3]) and hash(d) == hash(Decomposition(part))
+        assert d.positions == (1, 2, 3)
+        assert repr(d) == repr(Decomposition(part))
+        assert pickle.loads(pickle.dumps(d)) == d

@@ -19,7 +19,12 @@ import pytest
 
 import gdp.reducer
 from gdp import cli
-from gdp.catalan import Decomposition, SignedList, is_valid_decomposition
+from gdp.catalan import (
+    Decomposition,
+    SignedList,
+    _unchecked_decomposition,
+    is_valid_decomposition,
+)
 from gdp.kostka import KostkaPair, Partition, split_pair
 
 from conftest import EX12
@@ -198,12 +203,22 @@ class TestReduce:
         check_rows(capsys, "gdp reduce 2,-1,-1 --jsonx")
 
     def test_internal_error(self, capsys, monkeypatch):
-        monkeypatch.setattr(gdp.reducer, "is_valid_decomposition", lambda xs, p: False)
+        monkeypatch.setattr(gdp.reducer, "_splits", lambda entries, part: False)
         code, out, err = run(capsys, "reduce", "1,-1,1,-1")
         assert code == 5
         assert out == ""
         assert err.startswith("error: internal error: the decider gave")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("part", [frozenset(), frozenset({0, 1})], ids=["empty", "zero"])
+    def test_forged_part(self, capsys, monkeypatch, part):
+        # An empty decider part is a decider fault, not invalid input.
+        monkeypatch.setattr(gdp.reducer, "_decide", lambda *args: _unchecked_decomposition(part))
+        code, out, err = run(capsys, "reduce", "1,-1,1,-1")
+        assert code == 5
+        assert out == ""
+        assert err.startswith("error: internal error: the decider gave")
+        assert err.endswith("which is not a valid decomposition\n")
 
 
 class TestPi:

@@ -403,12 +403,16 @@ class TestCommonReduce:
         # KostkaPair's dominance check validates the column vector and
         # _sides checks the split: with the reducer's own validation and
         # witness check, and SignedList, made to raise, every dominance pair
-        # of size <= 10 in <= 4 rows is still decided.
+        # of size <= 10 in <= 4 rows is still decided.  The public check is
+        # patched, and so is its kernel where reduce reads it and where
+        # is_valid_decomposition reads it, whatever module calls it.
         def refuse(*args, **kwargs):
             raise AssertionError("common_reduce validated or checked twice")
 
         monkeypatch.setattr(gdp.reducer, "require_catalan", refuse)
-        monkeypatch.setattr(gdp.reducer, "is_valid_decomposition", refuse)
+        monkeypatch.setattr(gdp.reducer, "_splits", refuse)
+        monkeypatch.setattr(gdp.catalan, "_splits", refuse)
+        monkeypatch.setattr(gdp.catalan, "is_valid_decomposition", refuse)
         monkeypatch.setattr(SignedList, "__init__", refuse)
         for kp in dominance_pairs(10, 4):
             out = common_reduce(kp)

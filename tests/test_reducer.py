@@ -16,6 +16,7 @@ from gdp.catalan import (
     BudgetExceededError,
     Decomposition,
     SignedList,
+    _unchecked_decomposition,
     cost,
     is_generalized_catalan,
     is_valid_decomposition,
@@ -317,6 +318,17 @@ class TestPhaseProfile:
                 got.gammas, got.deltas, got.up_phases, got.down_phases,
                 got.u_counts, got.d_counts,
             ) == definitional_phases(p, rp), entries
+
+    @pytest.mark.parametrize(
+        "walked, profiled",
+        [((1, -1, 1, -1), (2, -1, -1)), ((2, -1, -1), (1, -1, 1, -1))],
+        ids=["longer-walk", "shorter-walk"],
+    )
+    def test_records_of_two_lists_are_refused(self, walked, profiled):
+        # Each pairing once returned a profile, or a bare tuple.index error.
+        p, prof = build_pi(SignedList(walked)), run_profile(SignedList(profiled))
+        with pytest.raises(ValueError, match="not that of the list the permutation reorders"):
+            phase_profile(p, prof)
 
 
 class TestReduceStrict:
@@ -645,7 +657,7 @@ def test_rejected_witnesses_raise(monkeypatch):
     # than return an unchecked decomposition, on every path:
     # 3,-3,3,-3,1,-1 is split by the first-block rule, and 4,3,-3,-4 by the
     # search table.
-    monkeypatch.setattr(gdp.reducer, "is_valid_decomposition", lambda xs, part: False)
+    monkeypatch.setattr(gdp.reducer, "_splits", lambda entries, part: False)
     for entries in (
         EX12,
         (1, -1, 1, -1),
@@ -660,15 +672,31 @@ def test_rejected_witnesses_raise(monkeypatch):
         assert info.type is RuntimeError
 
 
+# A decider part that is empty, or holds a position outside [t]: the public
+# constructor would refuse the first with a ValueError, so the forgery is
+# built as the deciders build theirs.
+FORGED_PARTS = [frozenset(), frozenset({0, 1})]
+
+
+@pytest.mark.parametrize("part", FORGED_PARTS, ids=["empty", "zero"])
+def test_forged_parts_raise(monkeypatch, part):
+    monkeypatch.setattr(gdp.reducer, "_decide", lambda *args: _unchecked_decomposition(part))
+    with pytest.raises(RuntimeError, match="not a valid decomposition") as info:
+        reduce(SignedList((1, -1, 1, -1)))
+    assert info.type is RuntimeError
+
+
 # Tests that forge a verdict or reject a witness, so that only a check in
 # gdp stands between the forgery and the caller.
 FORGED_VERDICT_TESTS = [
     "test_reducer.py::test_forged_certificates_raise",
     "test_reducer.py::test_rejected_witnesses_raise",
+    "test_reducer.py::test_forged_parts_raise",
     "test_kostka.py::TestCommonReduce::test_certificates_are_checked",
     "test_kostka.py::TestCommonReduce::test_forged_split_raises",
     "test_kostka.py::TestCommonReduce::test_rejected_split_raises",
     "test_cli.py::TestReduce::test_internal_error",
+    "test_cli.py::TestReduce::test_forged_part",
     "test_cli.py::TestOracleCommands::test_forged_witness",
 ]
 
