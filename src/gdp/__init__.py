@@ -33,9 +33,7 @@ from .oracle import (
 )
 from .reducer import (
     Irreducible,
-    PhaseProfile,
     ReduceOutcome,
-    phase_profile,
     reduce,
 )
 from .render import path_points, render_svg
@@ -53,7 +51,6 @@ __all__ = [
     "KostkaPair",
     "ParseError",
     "Partition",
-    "PhaseProfile",
     "ReduceOutcome",
     "RunProfile",
     "SignedList",
@@ -69,7 +66,6 @@ __all__ = [
     "is_valid_decomposition",
     "kostka_reducible_bruteforce",
     "path_points",
-    "phase_profile",
     "reduce",
     "reducible_bruteforce",
     "render_svg",

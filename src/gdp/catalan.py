@@ -289,19 +289,23 @@ def width(xs: SignedList) -> int:
     return len(xs)
 
 
-def sublist(xs: SignedList, positions) -> SignedList:
-    """Entries at the given 1-based positions, in increasing position order."""
-    t = len(xs)
-    wanted = sorted({_as_int(p) for p in positions})
+def _positions(positions, t: int) -> list[int]:
+    """The distinct positions as ints, ascending; each must lie in [t]."""
+    wanted = sorted(set(map(_as_int, positions)))
     for p in wanted:
         if not 1 <= p <= t:
             raise ValueError(f"position {p} out of range for width {t}")
-    return SignedList(tuple(xs.entries[p - 1] for p in wanted))
+    return wanted
+
+
+def sublist(xs: SignedList, positions) -> SignedList:
+    """Entries at the given 1-based positions, in increasing position order."""
+    return SignedList(tuple(xs.entries[p - 1] for p in _positions(positions, len(xs))))
 
 
 def complement(positions, t: int) -> frozenset[int]:
-    """Positions of [t] not in the given set."""
-    return frozenset(range(1, t + 1)) - frozenset(positions)
+    """Positions of [t] not in the given ones, which must lie in [t]."""
+    return frozenset(range(1, t + 1)).difference(_positions(positions, t))
 
 
 def is_valid_decomposition(xs: SignedList, positions) -> bool:

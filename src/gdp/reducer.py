@@ -29,8 +29,7 @@ Counting negative steps per up-phase (u_i) and positive follow-ups per
 down-phase (d_j) gives u_1 + ... + u_y + d_1 + ... + d_y = t, which forces a
 phase to overflow its run maximum whenever cost < width.  The deciders
 read the phases off the finished greedy walk one at a time, and stop at the
-first that settles the pigeonhole (:func:`_phase_window`); only
-:func:`phase_profile` lists them all.
+first that settles the pigeonhole (:func:`_phase_window`).
 
 One private core, :func:`_decide`, runs the run kernel ``catalan._runs``
 once, names the regime and passes the entries, runs and run maxima to that
@@ -54,7 +53,6 @@ from itertools import accumulate
 from .catalan import (
     BudgetExceededError,
     Decomposition,
-    RunProfile,
     SignedList,
     _decimal,
     _runs,
@@ -63,7 +61,7 @@ from .catalan import (
     _Value,
     require_catalan,
 )
-from .staircase import GreedyPermutation, _greedy_order
+from .staircase import _greedy_order
 
 # The cost > width search keeps one table: a bitset of at most H + 1 bits for
 # each of the t positions; wider tables are refused before any is built.
@@ -86,58 +84,6 @@ class Irreducible(_Value):
 
 
 ReduceOutcome = Decomposition | Irreducible
-
-
-class PhaseProfile(_Value):
-    """Phase windows of the greedy reordering and their step counts.
-
-    ``up_phases``/``down_phases`` are inclusive (lo, hi) ranges; see the
-    module docstring for the definitions and the counting identity.
-    """
-
-    __slots__ = ("gammas", "deltas", "up_phases", "down_phases", "u_counts", "d_counts")
-    gammas: tuple[int, ...]
-    deltas: tuple[int, ...]
-    up_phases: tuple[tuple[int, int], ...]
-    down_phases: tuple[tuple[int, int], ...]
-    u_counts: tuple[int, ...]
-    d_counts: tuple[int, ...]
-
-
-def phase_profile(p: GreedyPermutation, prof: RunProfile) -> PhaseProfile:
-    """Compute the phase windows and counts for ``p = build_pi(xs)``, given
-    ``prof = run_profile(xs)``; :func:`_phase_window` reads the same
-    windows, one at a time, for the deciders.
-
-    gamma_i, the first step visiting up-run i, is the step of the run's first
-    position, and delta_j, the last step visiting down-run j, that of the
-    run's last position: the greedy reordering keeps positives in order and
-    negatives in order (order transfer), so no other position of a run is
-    visited earlier, or later.  Likewise the steps that a phase does not
-    count are exactly its run's entries, so each count is the window's
-    length less its run's.
-
-    Raises ValueError unless ``prof.runs`` are the runs of the list that
-    ``p`` reorders, rebuilt in O(t) from ``p.one_line`` and ``p.reordered``.
-    """
-    order, runs, t = p.one_line, prof.runs, len(p.one_line)
-    entries = [0] * t
-    for pos, e in zip(order, p.reordered.entries):
-        entries[pos - 1] = e
-    if not entries or tuple(_runs(entries)[0]) != runs:
-        raise ValueError("the run profile is not that of the list the permutation reorders")
-    # Runs alternate from an up-run.  Gammas and deltas strictly increase
-    # (order transfer), so each ``index`` resumes at the last: O(t) each.
-    ups, downs = runs[0::2], runs[1::2]
-    g = d = 0
-    gammas = [g := order.index(lo, g) + 1 for _, lo, _ in ups]
-    deltas = [d := order.index(hi, d) + 1 for _, _, hi in downs]
-    up_phases = list(zip(gammas, [g - 1 for g in gammas[1:]] + [t]))
-    down_phases = list(zip([0] + deltas[:-1], [d - 1 for d in deltas]))
-    u_counts = [hi - lo - (b - a) for (lo, hi), (_, a, b) in zip(up_phases, ups)]
-    d_counts = [hi - lo - (b - a) for (lo, hi), (_, a, b) in zip(down_phases, downs)]
-    fields = gammas, deltas, up_phases, down_phases, u_counts, d_counts
-    return PhaseProfile(*map(tuple, fields))
 
 
 def _lex_least_equal_pair(keyed):
@@ -173,15 +119,19 @@ def _phase_window(order, runs, alphas, betas):
     It is ``(lo, hi, side)``: step h of lo..hi counts when the walk's
     running sums have ``sums[h] < sums[h + side]``, that is when step h is
     negative (side -1) or step h + 1 positive (side 1); step 0 always
-    counts.  Each phase's bound and count are found as :func:`phase_profile`
-    finds them, one phase at a time, so the reading stops at the first
-    overfull phase.
+    counts.
+
+    gamma_i, the first step visiting up-run i, is the step of the run's
+    first position, and delta_j, the last step visiting down-run j, that of
+    the run's last position: the greedy reordering keeps positives in order
+    and negatives in order (order transfer), so no other position of a run
+    is visited earlier, or later.  Likewise the steps that a phase does not
+    count are exactly its run's entries, so each count is the window's
+    length less its run's.
     """
     t, y = len(order), len(alphas)
-    # Up-phase i ends before the step visiting the first position of up-run
-    # i + 1, the last one at t; down-phase j at the step visiting the last
-    # position of down-run j.  Each ``index`` resumes at the previous bound:
-    # O(t) for all phases of one side.
+    # ``order.index`` finds gamma_{i+1} - 1 and delta_j - 1, each resuming
+    # at the previous bound: O(t) for all phases of one side.
     lo = 1  # gamma_1: step 1 visits position 1
     for i, alpha in enumerate(alphas):
         _, a, b = runs[2 * i]

@@ -51,14 +51,14 @@ def render_svg(
     rest; with an empty highlight every segment uses a single neutral color.
     ``axis`` adds a baseline and a vertical line up to the peak.  ValueError
     is raised for a highlight position outside 1..len(xs), for a scale that
-    is not positive, or for one at which :func:`path_points` finds the path
-    too large to draw.
+    is not positive (NaN included), or for one at which :func:`path_points`
+    finds the path too large to draw.
     """
     highlight = frozenset(highlight)
     bad = [p for p in highlight if not 1 <= p <= len(xs)]
     if bad:
         raise ValueError(f"highlight position {bad[0]} out of range")
-    if scale <= 0:
+    if not scale > 0:
         raise ValueError("scale must be positive")
     pts = path_points(xs, scale)
     ys = [p[1] for p in pts]

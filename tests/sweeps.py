@@ -11,6 +11,8 @@ enumeration and the library's own subset enumeration in the test suite.
 The predicates below state the lemmas of the greedy reordering (order
 transfer, restriction transfer, the phase invariants) as checks that return
 a bool, so a sweep can count their failures under ``python -O`` as well.
+The phases they check are read straight from their definitions
+(:func:`definitional_phases`).
 """
 from __future__ import annotations
 
@@ -308,9 +310,9 @@ def restrict_through(xs, p, steps) -> frozenset[int]:
     return frozenset(p.one_line[h - 1] for h in chosen)
 
 
-def phase_invariants_ok(xs, p, prof, phases) -> bool:
-    """Structural checks on ``phases = phase_profile(p, prof)`` for
-    ``p = build_pi(xs)`` and ``prof = run_profile(xs)``.
+def phase_invariants_ok(xs, p, prof) -> bool:
+    """Structural checks on the phases of ``p = build_pi(xs)``, for
+    ``prof = run_profile(xs)``, as :func:`definitional_phases` reads them.
 
     The up-phases tile [t] and the down-phases tile {0} + [t-1]; the counts
     satisfy u_1 + ... + u_y + d_1 + ... + d_y = t; and inside up-phase i
@@ -319,20 +321,21 @@ def phase_invariants_ok(xs, p, prof, phases) -> bool:
     """
     t = len(xs)
     entries = xs.entries
+    _, _, up_phases, down_phases, u_counts, d_counts = definitional_phases(p, prof)
     walk = (0,) + p.running_sums  # walk[h]: running sum after h steps
-    up = [h for lo, hi in phases.up_phases for h in range(lo, hi + 1)]
+    up = [h for lo, hi in up_phases for h in range(lo, hi + 1)]
     if up != list(range(1, t + 1)):
         return False
-    down = [h for lo, hi in phases.down_phases for h in range(lo, hi + 1)]
+    down = [h for lo, hi in down_phases for h in range(lo, hi + 1)]
     if down != list(range(0, t)):
         return False
-    if sum(phases.u_counts) + sum(phases.d_counts) != t:
+    if sum(u_counts) + sum(d_counts) != t:
         return False
-    for (lo, hi), alpha in zip(phases.up_phases, prof.alphas, strict=True):
+    for (lo, hi), alpha in zip(up_phases, prof.alphas, strict=True):
         for h in range(lo, hi + 1):
             if entries[p.one_line[h - 1] - 1] < 0 and not 0 <= walk[h] < alpha:
                 return False
-    for (lo, hi), beta in zip(phases.down_phases, prof.betas, strict=True):
+    for (lo, hi), beta in zip(down_phases, prof.betas, strict=True):
         for h in range(lo, hi + 1):
             if entries[p.one_line[h] - 1] > 0 and not 0 <= walk[h] < beta:
                 return False
@@ -340,11 +343,15 @@ def phase_invariants_ok(xs, p, prof, phases) -> bool:
 
 
 def definitional_phases(p, prof):
-    """``phase_profile(p, prof)``'s fields, as tuples, straight from the
-    definitions: gamma_i is the least step over up-run i's positions and
-    delta_j the greatest step over down-run j's, the windows follow the
-    reducer's module docstring, u_i counts the negative steps of up-phase
-    i, and d_j the positive steps that follow a step of down-phase j."""
+    """The phases of the greedy reordering ``p = build_pi(xs)``, for
+    ``prof = run_profile(xs)``, straight from the definitions: the tuples
+    (gammas, deltas, up_phases, down_phases, u_counts, d_counts).  gamma_i
+    is the least step over up-run i's positions and delta_j the greatest
+    step over down-run j's; the windows, inclusive (lo, hi) ranges, follow
+    the reducer's module docstring; u_i counts the negative steps of
+    up-phase i, and d_j the positive steps that follow a step of down-phase
+    j.  The one phase reference of the tests: ``reducer._phase_window``
+    reads the same windows off the run endpoints instead."""
     t = len(p.one_line)
     step_of = {pos: step for step, pos in enumerate(p.one_line, 1)}
     runs = [range(lo, hi + 1) for _, lo, hi in prof.runs]

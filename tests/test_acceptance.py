@@ -38,7 +38,7 @@ from gdp.oracle import (
     kostka_reducible_bruteforce,
     reducible_bruteforce,
 )
-from gdp.reducer import Irreducible, phase_profile, reduce
+from gdp.reducer import Irreducible, reduce
 from gdp.render import path_points, render_svg
 from gdp.staircase import build_pi
 
@@ -114,7 +114,7 @@ def lemma_sweep(corpus):
             if not check_order_transfer(xs, p):
                 fails["order_transfer"] += 1
             prof = run_profile(xs)
-            if not phase_invariants_ok(xs, p, prof, phase_profile(p, prof)):
+            if not phase_invariants_ok(xs, p, prof):
                 fails["phase"] += 1
             pm[i] = one_line
         pm -= 1
@@ -262,7 +262,7 @@ def test_criterion_3_property_suite(corpus, lemma_sweep):
             sorted(p.one_line) == list(range(1, t + 1))
             and is_generalized_catalan(p.reordered)
             and check_order_transfer(xs, p)
-            and phase_invariants_ok(xs, p, prof, phase_profile(p, prof))
+            and phase_invariants_ok(xs, p, prof)
         )
         if not ok:
             random_fails += 1

@@ -211,6 +211,15 @@ class TestSublist:
         with pytest.raises(ValueError, match="out of range"):
             sublist(SignedList((1, -1)), {3})
 
+    def test_complement_refuses_positions_outside_the_width(self):
+        # A position outside [t] is refused as sublist refuses it, not dropped.
+        for positions, bad in (({0, 9}, 0), ({1, 9}, 9), ([4], 4)):
+            with pytest.raises(ValueError, match=f"position {bad} out of range for width 3"):
+                complement(positions, 3)
+        with pytest.raises(TypeError):
+            complement({1.5}, 3)
+        assert complement([True, 3, 3], 3) == {2}
+
     @given(nonzero_entries.filter(bool), st.data())
     def test_parts_partition_the_multiset(self, entries, data):
         xs = SignedList(tuple(entries))

@@ -28,7 +28,6 @@ from gdp.oracle import reducible_bruteforce
 from gdp.reducer import (
     Irreducible,
     _phase_window,
-    phase_profile,
     reduce,
 )
 from gdp.staircase import _greedy_order, build_pi
@@ -111,24 +110,24 @@ def is_phase_split(xs):
 
 
 def reference_window(p, prof):
-    """The phase-split window read off the public records, for
-    ``p = build_pi(xs)`` and ``prof = run_profile(xs)``: ``(lo, hi, -1)``
-    for the first up-phase with u_i > alpha_i; else ``(lo, hi, 1)`` for the
-    first down-phase with d_j > beta_j; else the first up-phase from step 0,
-    ``(0, hi, -1)``."""
-    ph = phase_profile(p, prof)
-    for (lo, hi), u, alpha in zip(ph.up_phases, ph.u_counts, prof.alphas):
+    """The phase-split window read off the phases' definitions
+    (``sweeps.definitional_phases``), for ``p = build_pi(xs)`` and
+    ``prof = run_profile(xs)``: ``(lo, hi, -1)`` for the first up-phase
+    with u_i > alpha_i; else ``(lo, hi, 1)`` for the first down-phase with
+    d_j > beta_j; else the first up-phase from step 0, ``(0, hi, -1)``."""
+    _, _, up_phases, down_phases, u_counts, d_counts = definitional_phases(p, prof)
+    for (lo, hi), u, alpha in zip(up_phases, u_counts, prof.alphas):
         if u > alpha:
             return lo, hi, -1
-    for (lo, hi), d, beta in zip(ph.down_phases, ph.d_counts, prof.betas):
+    for (lo, hi), d, beta in zip(down_phases, d_counts, prof.betas):
         if d > beta:
             return lo, hi, 1
-    return 0, ph.up_phases[0][1], -1
+    return 0, up_phases[0][1], -1
 
 
 def phase_split_reference(entries):
-    """The phase-split witness from the public ``build_pi`` and
-    ``phase_profile`` records alone.
+    """The phase-split witness from the public ``build_pi`` record and the
+    phases' definitions alone.
 
     In the window of :func:`reference_window` an up-phase counts its
     negative steps, and step 0 when it starts there; a down-phase counts the
@@ -260,75 +259,44 @@ def test_search_matches_two_table_reference():
 
 
 class TestPhaseProfile:
+    # The phases of the greedy reordering, read straight from their
+    # definitions (sweeps.definitional_phases).
     def test_single_pair(self):
         xs = SignedList((1, -1))
-        prof = phase_profile(build_pi(xs), run_profile(xs))
-        assert prof.gammas == (1,)
-        assert prof.deltas == (2,)
-        assert prof.up_phases == ((1, 2),)
-        assert prof.down_phases == ((0, 1),)
-        assert prof.u_counts == (1,)
-        assert prof.d_counts == (1,)
+        assert definitional_phases(build_pi(xs), run_profile(xs)) == (
+            (1,), (2,), ((1, 2),), ((0, 1),), (1,), (1,)
+        )
 
     def test_hand_traced_example(self):
         xs = SignedList((3, 1, -2, -2))
-        prof = phase_profile(build_pi(xs), run_profile(xs))
-        assert prof.gammas == (1,)
-        assert prof.deltas == (4,)
-        assert prof.up_phases == ((1, 4),)
-        assert prof.down_phases == ((0, 3),)
-        assert prof.u_counts == (2,)
-        assert prof.d_counts == (2,)
-        assert sum(prof.u_counts) + sum(prof.d_counts) == 4
+        gammas, deltas, up, down, u, d = definitional_phases(build_pi(xs), run_profile(xs))
+        assert gammas == (1,)
+        assert deltas == (4,)
+        assert up == ((1, 4),)
+        assert down == ((0, 3),)
+        assert u == (2,)
+        assert d == (2,)
+        assert sum(u) + sum(d) == 4
 
     def test_counting_identity_on_example_list(self):
         xs = SignedList(EX12)
-        prof = phase_profile(build_pi(xs), run_profile(xs))
-        assert sum(prof.u_counts) + sum(prof.d_counts) == 19
+        *_, u, d = definitional_phases(build_pi(xs), run_profile(xs))
+        assert sum(u) + sum(d) == 19
 
     def test_counting_identity_on_random_lists(self):
         rng = random.Random(606)
         for _ in range(300):
             entries = random_catalan(rng.randint(2, 12), rng)
             xs = SignedList(entries)
-            prof = phase_profile(build_pi(xs), run_profile(xs))
-            assert sum(prof.u_counts) + sum(prof.d_counts) == len(entries)
+            *_, u, d = definitional_phases(build_pi(xs), run_profile(xs))
+            assert sum(u) + sum(d) == len(entries)
 
     def test_phase_bounds(self):
         # Phase tiling, counting identity and the in-phase walk bounds.
         rng = random.Random(707)
         for _ in range(200):
             xs = SignedList(random_catalan(rng.randint(2, 12), rng))
-            p = build_pi(xs)
-            rp = run_profile(xs)
-            assert phase_invariants_ok(xs, p, rp, phase_profile(p, rp))
-
-    def test_matches_definitional_windows(self):
-        # phase_profile reads gamma and delta at the run endpoints; the
-        # definitions take the least and greatest step over the whole run.
-        corpus = catalan_corpus(8)
-        lists = [tuple(map(int, row)) for rows in corpus.values() for row in rows]
-        rng = random.Random(1414)
-        lists += [random_catalan(rng.randint(2, 40), rng) for _ in range(2000)]
-        for entries in lists:
-            xs = SignedList(entries)
-            p, rp = build_pi(xs), run_profile(xs)
-            got = phase_profile(p, rp)
-            assert (
-                got.gammas, got.deltas, got.up_phases, got.down_phases,
-                got.u_counts, got.d_counts,
-            ) == definitional_phases(p, rp), entries
-
-    @pytest.mark.parametrize(
-        "walked, profiled",
-        [((1, -1, 1, -1), (2, -1, -1)), ((2, -1, -1), (1, -1, 1, -1))],
-        ids=["longer-walk", "shorter-walk"],
-    )
-    def test_records_of_two_lists_are_refused(self, walked, profiled):
-        # Each pairing once returned a profile, or a bare tuple.index error.
-        p, prof = build_pi(SignedList(walked)), run_profile(SignedList(profiled))
-        with pytest.raises(ValueError, match="not that of the list the permutation reorders"):
-            phase_profile(p, prof)
+            assert phase_invariants_ok(xs, build_pi(xs), run_profile(xs))
 
 
 class TestReduceStrict:
@@ -589,18 +557,21 @@ class TestReduceDispatch:
 
 
 def test_deciders_build_no_records(monkeypatch):
-    # The deciders walk the private kernels: with the record types and the
-    # phase lister swapped for stubs that raise, reduce still decides the
-    # exhaustive single-peak set as it does without them, and the width <= 8
-    # corpus.  Before that, on every phase-split list of the corpus, the
-    # decider's walk is build_pi's, and the window read off it is the first
-    # overfull phase of the phase_profile record.
+    # The deciders walk the private kernels: with the record types swapped
+    # for stubs that raise, reduce still decides the exhaustive single-peak
+    # set as it does without them, and the width <= 8 corpus.  Before that,
+    # on every phase-split list of the corpus and of 2,000 random lists of
+    # width <= 40, the decider's walk is build_pi's, and the window that
+    # _phase_window reads at the run endpoints is the first overfull phase
+    # by the definitions.
     single_peak = [SignedList(e) for e in single_peak_equality_lists()]
     corpus = [
         SignedList(tuple(map(int, row)))
         for rows in catalan_corpus(8).values() for row in rows
     ]
-    for xs in filter(is_phase_split, corpus):
+    rng = random.Random(1414)
+    wide = [SignedList(random_catalan(rng.randint(2, 40), rng)) for _ in range(2000)]
+    for xs in filter(is_phase_split, corpus + wide):
         p, prof = build_pi(xs), run_profile(xs)
         order, sums = _greedy_order(xs.entries)
         assert tuple(order) == p.one_line, xs
@@ -617,8 +588,6 @@ def test_deciders_build_no_records(monkeypatch):
         "gdp.staircase.GreedyPermutation",
         "gdp.staircase.SignedList",
         "gdp.reducer.SignedList",
-        "gdp.reducer.PhaseProfile",
-        "gdp.reducer.phase_profile",
         "gdp.catalan.RunProfile",
     ):
         monkeypatch.setattr(target, refuse)

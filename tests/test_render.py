@@ -99,3 +99,6 @@ class TestRenderSvg:
         for entries, scale in (((1, -1), 0), ((5, -5), 1e308), ((huge, -huge), 10)):
             with pytest.raises(ValueError):
                 render_svg(SignedList(entries), scale=scale)
+        # NaN compares false both ways; it is refused as not positive.
+        with pytest.raises(ValueError, match="scale must be positive"):
+            render_svg(SignedList((1, -1)), scale=float("nan"))

@@ -15,7 +15,7 @@ import pytest
 import gdp
 from gdp.catalan import Decomposition, RunProfile, SignedList
 from gdp.kostka import ColumnSplit, KostkaIrreducible, KostkaPair, Partition
-from gdp.reducer import Irreducible, PhaseProfile
+from gdp.reducer import Irreducible
 from gdp.staircase import GreedyPermutation
 
 LAM, MU = Partition((2, 1)), Partition((1, 1, 1))
@@ -42,12 +42,6 @@ CASES = [
      "running_sums=(1, 0))"),
     (Irreducible, dict(alpha1=2, beta1=1, basis="coprime"), "basis", "search",
      "Irreducible(alpha1=2, beta1=1, basis='coprime')"),
-    (PhaseProfile,
-     dict(gammas=(1,), deltas=(2,), up_phases=((1, 2),), down_phases=((0, 1),),
-          u_counts=(1,), d_counts=(1,)),
-     "d_counts", (2,),
-     "PhaseProfile(gammas=(1,), deltas=(2,), up_phases=((1, 2),), "
-     "down_phases=((0, 1),), u_counts=(1,), d_counts=(1,))"),
     (Partition, dict(parts=(2, 1)), "parts", (3,), "Partition(parts=(2, 1))"),
     (KostkaPair, dict(lam=LAM, mu=MU, r=3), "r", 4,
      "KostkaPair(lam=Partition(parts=(2, 1)), mu=Partition(parts=(1, 1, 1)), r=3)"),
@@ -63,8 +57,8 @@ CASES = [
 ]
 
 # The records that build through the shared _Value constructor.
-PLAIN_RECORDS = (RunProfile, GreedyPermutation, Irreducible, PhaseProfile,
-                 ColumnSplit, KostkaIrreducible)
+PLAIN_RECORDS = (RunProfile, GreedyPermutation, Irreducible, ColumnSplit,
+                 KostkaIrreducible)
 
 
 @pytest.mark.parametrize(
@@ -146,12 +140,11 @@ def test_cli_import_loads_no_heavy_modules():
 PUBLIC_NAMES = [
     "BudgetExceededError", "ColumnSplit", "Decomposition", "GreedyPermutation",
     "Irreducible", "KostkaIrreducible", "KostkaPair", "ParseError", "Partition",
-    "PhaseProfile", "ReduceOutcome", "RunProfile", "SignedList", "build_pi",
-    "column_vector", "common_reduce", "complement", "conjugate", "cost",
-    "dominates", "enumerate_hilbert_basis", "is_generalized_catalan",
-    "is_valid_decomposition", "kostka_reducible_bruteforce", "path_points",
-    "phase_profile", "reduce", "reducible_bruteforce", "render_svg",
-    "restrict_columns", "run_profile", "split_pair", "sublist", "width",
+    "ReduceOutcome", "RunProfile", "SignedList", "build_pi", "column_vector",
+    "common_reduce", "complement", "conjugate", "cost", "dominates",
+    "enumerate_hilbert_basis", "is_generalized_catalan", "is_valid_decomposition",
+    "kostka_reducible_bruteforce", "path_points", "reduce", "reducible_bruteforce",
+    "render_svg", "restrict_columns", "run_profile", "split_pair", "sublist", "width",
 ]
 
 
