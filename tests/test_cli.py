@@ -114,19 +114,96 @@ def test_console_script():
         check_pin(pin, done.returncode, done.stdout, done.stderr)
 
 
-@pytest.mark.parametrize("exit_code", [0, 1, 3, 4])
-def test_python_m_gdp(exit_code):
-    pin = next(pin for pin in PINS if pin[0] == exit_code)
+def run_python(args, stdout=subprocess.PIPE):
+    """A child interpreter that imports this gdp, with its exit code, stdout
+    (None unless piped) and stderr."""
     src = str(Path(gdp.__file__).resolve().parent.parent)
     done = subprocess.run(
-        [sys.executable, "-m", "gdp", *shlex.split(pin[1])[1:]],
-        capture_output=True,
+        [sys.executable, *args],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         encoding="utf-8",
         env={**os.environ, "PYTHONPATH": src},
         stdin=subprocess.DEVNULL,
         timeout=60,
     )
-    check_pin(pin, done.returncode, done.stdout, done.stderr)
+    return done.returncode, done.stdout, done.stderr
+
+
+@pytest.mark.parametrize("exit_code", [0, 1, 3, 4])
+def test_python_m_gdp(exit_code):
+    pin = next(pin for pin in PINS if pin[0] == exit_code)
+    check_pin(pin, *run_python(["-m", "gdp", *shlex.split(pin[1])[1:]]))
+
+
+def test_import_loads_no_argparse_or_json():
+    code, out, err = run_python([
+        "-c",
+        "import sys; before = set(sys.modules); import gdp.cli; "
+        "print(*sorted(set(sys.modules) - before))",
+    ])
+    assert code == 0, err
+    loaded = out.split()
+    assert "gdp.cli" in loaded
+    assert "argparse" not in loaded and "json" not in loaded
+
+
+def test_help_for_every_command(capsys):
+    # Each command of the table has its line in the docstring's grammar.
+    for path in cli._COMMANDS:
+        code, out, err = run(capsys, *path, "--help")
+        assert (code, err) == (0, "")
+        assert out.startswith(f"usage: gdp {' '.join(path)} ")
+        assert out.count("\n") == 1
+
+
+class TestOutputErrors:
+    """A failed write to standard output is invalid input's exit code 3 and
+    one line on stderr: no traceback, and no second report when Python
+    flushes the output again at exit."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("reduce", "2,-1,-1"), ("pi", ",".join(["1,-1"] * 20000))],
+        ids=["reduce", "pi-40000"],
+    )
+    def test_closed_pipe(self, argv):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            code, _, err = run_python(["-m", "gdp", *argv], stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert (code, err) == (3, "error: cannot write standard output: [Errno 32] Broken pipe\n")
+
+    def test_full_device(self):
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this system")
+        with open("/dev/full", "w") as full:
+            code, _, err = run_python(["-m", "gdp", "reduce", "2,-1,-1"], stdout=full)
+        reason = os.strerror(errno.ENOSPC)
+        assert (code, err) == (3, f"error: cannot write standard output: [Errno 28] {reason}\n")
+
+
+class TestJsonWriter:
+    def test_matches_json_dumps(self, capsys):
+        # Every --json row of the table: each record kind of reduce and
+        # kostka, nulls included.
+        rows = [pin for pin in PINS if "--json" in shlex.split(pin[1]) and pin[2]]
+        assert len(rows) >= 10
+        for pin in rows:
+            record = json.loads(pin[2])
+            assert cli._json(record) == json.dumps(record) == pin[2]
+        assert cli._json({}) == json.dumps({})
+        assert cli._json({"part": []}) == json.dumps({"part": []})
+
+    @pytest.mark.parametrize(
+        "value",
+        [True, False, 1.0, {"a": True}, [1, 2.5], "a b", 'a"b', "\u0661", {1: 2}, (1, 2)],
+    )
+    def test_refuses_other_values(self, value):
+        with pytest.raises(TypeError):
+            cli._json(value)
 
 
 class TestCheck:
@@ -334,6 +411,23 @@ class TestRender:
         svg = out_file.read_text()
         assert svg.count('class="seg"') == 19
         assert svg.count("#1f77b4") == 5
+
+    def test_option_spellings(self, capsys, tmp_path):
+        # -o FILE, -oFILE and --output FILE write the same file, and
+        # --scale=2 is --scale 2.
+        svgs = []
+        for i, argv in enumerate([
+            ("--scale", "2", "-o", "{}"),
+            ("--scale=2", "-o{}"),
+            ("--output", "{}", "--scale=2"),
+        ]):
+            path = tmp_path / f"{i}.svg"
+            argv = [arg.format(path) for arg in argv]
+            assert run(capsys, "render", *argv, "2,-1,-1") == (0, "", "")
+            svgs.append(path.read_text())
+        assert svgs[0].startswith("<svg") and svgs == [svgs[0]] * 3
+        code, out, _ = run(capsys, "render", "--scale", "10", "2,-1,-1")
+        assert out != svgs[0]
 
     def test_stdout_default(self, capsys):
         code, out, _ = run(capsys, "render", "1,-1")
