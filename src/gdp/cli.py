@@ -1,21 +1,16 @@
 """Command-line front end.
 
-Grammar (the list/pair operand may contain tokens starting with a minus
-sign):
-
-    gdp check <list>
-    gdp reduce [--json] <list>
-    gdp pi <list>
-    gdp kostka [--r N] [--json] <lambda> / <mu>
-    gdp render [--highlight p1,p2,...] [--scale S] [--axis] [-o FILE] <list>
-    gdp oracle reduce <list>
-    gdp oracle hilbert --r N --n N
+The command table ``_COMMANDS`` is the grammar: each command's handler, its
+operand (a list, a pair ``<lambda> / <mu>`` or none) and its options, with
+the metavar each option's value shows in help.  -h or --help after gdp,
+gdp oracle or a command prints the usage lines the table gives for it and
+exits 0.  The list/pair operand may contain tokens starting with a minus
+sign.
 
 An option may also come after the operand; an unknown one there is refused
 as one that must come before it.  A value follows its option as the next
 argument or after '=' (--scale=2), and -o also takes it joined (-oFILE).
-Options are spelled in full, and -- ends them.  -h or --help after gdp,
-gdp oracle or a command prints its lines of the grammar above and exits 0.
+Options are spelled in full, and -- ends them.
 
 Lists, partitions and --highlight share one token rule (catalan.parse_ints):
 comma- or whitespace-separated ASCII integers ([+-]?[0-9]+), no empty tokens.
@@ -63,18 +58,8 @@ EXIT_INTERNAL = 5
 _OPTION_LIKE = re.compile(r"^--?[A-Za-z]")
 
 
-def _operand_text(tokens, what="list"):
-    toks = [t for t in tokens if t != "--"]
-    if not toks:
-        raise ParseError(f"missing {what} operand")
-    for t in toks:
-        if _OPTION_LIKE.match(t):
-            raise ParseError(f"option {t!r} must come before the {what}")
-    return " ".join(toks)
-
-
-def cmd_check(opts, operands) -> int:
-    xs = SignedList.parse(_operand_text(operands))
+def cmd_check(opts, text) -> int:
+    xs = SignedList.parse(text)
     if not is_generalized_catalan(xs):
         _print_record({"catalan": "false"})
         return EXIT_OK
@@ -133,7 +118,7 @@ def _json(value) -> str:
 
 def _print_record(record, as_json=False) -> None:
     """The record as one JSON object, or as ``key=value`` fields with list
-    values joined by commas."""
+    values joined by commas and None fields left out."""
     if as_json:
         print(_json(record))
         return
@@ -141,26 +126,26 @@ def _print_record(record, as_json=False) -> None:
     for key, value in record.items():
         if isinstance(value, list):
             value = ",".join(str(v) for v in value)
-        fields.append(f"{key}={value}")
+        if value is not None:
+            fields.append(f"{key}={value}")
     print(" ".join(fields))
 
 
-def cmd_reduce(opts, operands) -> int:
-    outcome = reduce(SignedList.parse(_operand_text(operands)))
+def cmd_reduce(opts, text) -> int:
+    outcome = reduce(SignedList.parse(text))
     record, code = _outcome_record(outcome)
     _print_record(record, opts["json"])
     return code
 
 
-def cmd_pi(opts, operands) -> int:
-    p = build_pi(SignedList.parse(_operand_text(operands)))
+def cmd_pi(opts, text) -> int:
+    p = build_pi(SignedList.parse(text))
     print(p.one_line_text())
     print(f"reordered={p.reordered.format()}")
     return EXIT_OK
 
 
-def cmd_kostka(opts, operands) -> int:
-    text = _operand_text(operands, what="pair")
+def cmd_kostka(opts, text) -> int:
     sides = text.split("/")
     if len(sides) != 2:
         raise ParseError("expected a pair in the form 'lambda / mu'")
@@ -186,22 +171,19 @@ def cmd_kostka(opts, operands) -> int:
             print(f"rest: lambda={right.lam.format()} mu={right.mu.format()}")
         return EXIT_OK
     record, code = _outcome_record(outcome)
-    rects = {"lambda_rect": outcome.lam_rect, "mu_rect": outcome.mu_rect}
+    # The text form gives both rectangles as rows x columns, or neither.
+    rects = outcome.lam_rect, outcome.mu_rect
     if opts["json"]:
-        for key, rect in rects.items():
-            record[key] = list(rect) if rect else None
+        rects = [list(rect) if rect else None for rect in rects]
     else:
-        if outcome.alpha1 is None:  # a single-column pair
-            del record["alpha1"], record["beta1"]
-        if outcome.lam_rect and outcome.mu_rect:
-            for key, (rows, columns) in rects.items():
-                record[key] = f"{rows}x{columns}"
+        rects = [f"{rect[0]}x{rect[1]}" if all(rects) else None for rect in rects]
+    record["lambda_rect"], record["mu_rect"] = rects
     _print_record(record, opts["json"])
     return code
 
 
-def cmd_render(opts, operands) -> int:
-    xs = SignedList.parse(_operand_text(operands))
+def cmd_render(opts, text) -> int:
+    xs = SignedList.parse(text)
     highlight = frozenset()
     if opts["highlight"]:
         highlight = parse_ints(
@@ -209,7 +191,7 @@ def cmd_render(opts, operands) -> int:
         )
     svg = render_svg(xs, highlight=highlight, scale=opts["scale"], axis=opts["axis"])
     output = opts["output"]
-    if output:
+    if output is not None:
         try:
             with open(output, "w", encoding="utf-8") as fh:
                 fh.write(svg)
@@ -220,8 +202,8 @@ def cmd_render(opts, operands) -> int:
     return EXIT_OK
 
 
-def cmd_oracle_reduce(opts, operands) -> int:
-    xs = SignedList.parse(_operand_text(operands))
+def cmd_oracle_reduce(opts, text) -> int:
+    xs = SignedList.parse(text)
     require_catalan(xs)  # a split's two Catalan sides make a Catalan list
     found = reducible_bruteforce(xs)
     if found is None:
@@ -233,22 +215,23 @@ def cmd_oracle_reduce(opts, operands) -> int:
     return EXIT_OK
 
 
-def cmd_oracle_hilbert(opts, operands) -> int:
-    if [t for t in operands if t != "--"]:
-        raise ParseError("oracle hilbert takes no positional operands")
+def cmd_oracle_hilbert(opts, text) -> int:
     for pair in enumerate_hilbert_basis(opts["r"], opts["n"]):
         print(pair.format())
     return EXIT_OK
 
 
-def cmd_help(opts, operands) -> int:
-    """Print the grammar lines of the module docstring for one command."""
-    prog = opts["prog"]
-    lines = [
-        line.strip()
-        for line in (__doc__ or f"    {prog}").splitlines()
-        if (line + " ").startswith(f"    {prog} ")
-    ]
+def cmd_help(opts, text) -> int:
+    """Print the usage lines of the table's commands under one path."""
+    path = opts["path"]
+    lines = []
+    for key, (_, kind, specs) in _COMMANDS.items():
+        if key[:len(path)] == path:
+            words = ["gdp", *key]
+            for names, metavar, _, default in specs:
+                word = names[0] if metavar is None else f"{names[0]} {metavar}"
+                words.append(word if default is _REQUIRED else f"[{word}]")
+            lines.append(" ".join(words + _OPERAND_USAGE[kind]))
     print("usage: " + "\n       ".join(lines))
     return EXIT_OK
 
@@ -276,31 +259,44 @@ def _positive(kind):
     return convert
 
 
-_JSON = (("--json",), None, False, False)
+def _file_name(text):
+    """text, unless it is empty: an empty -o is most likely an unset variable."""
+    if not text:
+        raise ValueError("expected a file name, got ''")
+    return text
 
-# Each command's handler and options.  An option is (names, convert, default,
-# required); its value is stored under its last name without the dashes, and
-# a convert of None makes it a flag, which takes no value.
+
+# The default of an option that must be given.
+_REQUIRED = object()
+
+# The one option of gdp and gdp oracle, and of every command.
+_HELP = (("-h", "--help"), None, None, False)
+_JSON = (("--json",), None, None, False)
+
+# Each command's handler, operand kind and options: the grammar, and the
+# help.  The operand kind is "list", "pair" or None for no operand.  An
+# option is (names, metavar, convert, default); its value is stored under
+# its last name without the dashes.  A metavar of None makes it a flag,
+# which takes no value.
 _COMMANDS = {
-    ("check",): (cmd_check, ()),
-    ("reduce",): (cmd_reduce, (_JSON,)),
-    ("pi",): (cmd_pi, ()),
-    ("kostka",): (cmd_kostka, ((("--r",), _int, None, False), _JSON)),
-    ("render",): (cmd_render, (
-        (("--highlight",), str, "", False),
-        (("--scale",), _positive(float), 10.0, False),
-        (("--axis",), None, False, False),
-        (("-o", "--output"), str, "", False),
+    ("check",): (cmd_check, "list", ()),
+    ("reduce",): (cmd_reduce, "list", (_JSON,)),
+    ("pi",): (cmd_pi, "list", ()),
+    ("kostka",): (cmd_kostka, "pair", ((("--r",), "N", _int, None), _JSON)),
+    ("render",): (cmd_render, "list", (
+        (("--highlight",), "p1,p2,...", str, ""),
+        (("--scale",), "S", _positive(float), 10.0),
+        (("--axis",), None, None, False),
+        (("-o", "--output"), "FILE", _file_name, None),
     )),
-    ("oracle", "reduce"): (cmd_oracle_reduce, ()),
-    ("oracle", "hilbert"): (cmd_oracle_hilbert, (
-        (("--r",), _positive(int), None, True),
-        (("--n",), _positive(int), None, True),
+    ("oracle", "reduce"): (cmd_oracle_reduce, "list", ()),
+    ("oracle", "hilbert"): (cmd_oracle_hilbert, None, (
+        (("--r",), "N", _positive(int), _REQUIRED),
+        (("--n",), "N", _positive(int), _REQUIRED),
     )),
 }
 
-# The one option of gdp and gdp oracle, and of every command: its spec is None.
-_HELP = {"-h": None, "--help": None}
+_OPERAND_USAGE = {"list": ["<list>"], "pair": ["<lambda> / <mu>"], None: []}
 
 # argparse's rule: a token like these is an operand, not an unknown option.
 # Compiled on first use (re caches it), which most command lines never reach.
@@ -324,81 +320,75 @@ def _read_option(token, options):
     return "", None
 
 
-def _help(prog, value):
-    """cmd_help for prog, unless the help option was given a value."""
-    if value is not None:
-        raise ParseError(f"{prog}: argument -h/--help: ignored explicit argument {value!r}")
-    return cmd_help, {"prog": prog}, []
-
-
 def _parse(argv):
-    """The handler, option values and operands of a command line, read as
-    argparse read them except that an option is never abbreviated.  An
-    option may come after an operand, ``--`` ends the options, and any other
-    token is an operand; -h or --help gives ``cmd_help``."""
-    path = ()
-    extras = []
-    while path not in _COMMANDS:
-        prog = " ".join(("gdp",) + path)
-        dest = "_".join(path + ("command",))
-        for i, token in enumerate(argv):
-            read = None if token == "--" else _read_option(token, _HELP)
-            if read is None:
-                break
-            if read[0]:
-                return _help(prog, read[1])
-            extras.append(token)
-        else:
-            i = len(argv)
-        # A "--" with nothing after it is no operand; one before a token is
-        # the command, and not a valid one.
-        if argv[i:] in ([], ["--"]):
-            raise ParseError(f"{prog}: the following arguments are required: {dest}")
-        choices = list(dict.fromkeys(key[len(path)] for key in _COMMANDS if key[:len(path)] == path))
-        if argv[i] not in choices:
-            raise ParseError(
-                f"{prog}: argument {dest}: invalid choice: {argv[i]!r} "
-                f"(choose from {', '.join(map(repr, choices))})"
-            )
-        path += (argv[i],)
-        argv = argv[i + 1:]
-    prog = " ".join(("gdp",) + path)
-    handler, specs = _COMMANDS[path]
-    options = dict(_HELP)
-    options.update((name, spec) for spec in specs for name in spec[0])
-    opts = {spec[0][-1].lstrip("-"): spec[2] for spec in specs}
-    given = set()
+    """The handler, option values and operand text of a command line, read
+    in one pass as argparse read it, except that an option is never
+    abbreviated.  Before the command's path is complete a token is help,
+    an unknown option or the next word of the path; after it, an option may
+    also come after an operand, ``--`` ends the options, and any other
+    token is an operand.  -h or --help gives ``cmd_help`` for the path
+    read so far."""
+    path, row, extras = (), None, []
+    prog, dest = "gdp", "command"
+    options = dict.fromkeys(_HELP[0], _HELP)
     tokens = iter(argv)
     for token in tokens:
-        if token == "--":
+        if token == "--" and row:
             extras += ["--", *tokens]
             break
-        name, value = _read_option(token, options) or ("", None)
-        if not name:
+        read = None if token == "--" else _read_option(token, options)
+        if read is None and not row:
+            choices = list(dict.fromkeys(key[len(path)] for key in _COMMANDS if key[:len(path)] == path))
+            if token not in choices:
+                if token == "--" and next(tokens, None) is None:
+                    break  # a "--" with nothing after it is no command
+                raise ParseError(
+                    f"{prog}: argument {dest}: invalid choice: {token!r} "
+                    f"(choose from {', '.join(map(repr, choices))})"
+                )
+            path += (token,)
+            prog, dest = f"{prog} {token}", "_".join((*path, "command"))
+            row = _COMMANDS.get(path)
+            if row:
+                options.update((name, spec) for spec in row[2] for name in spec[0])
+                opts = {names[-1].lstrip("-"): default for names, _, _, default in row[2]}
+            continue
+        if read is None or not read[0]:
             extras.append(token)
             continue
+        name, value = read
         spec = options[name]
-        if spec is None:
-            return _help(prog, value)
-        names, convert, _, _ = spec
+        names, metavar, convert, _ = spec
         label = "/".join(names)
-        if convert is None and value is not None:
+        if metavar is None and value is not None:
             raise ParseError(f"{prog}: argument {label}: ignored explicit argument {value!r}")
-        if convert is not None and value is None:
+        if spec is _HELP:
+            return cmd_help, {"path": path}, ""
+        if metavar is not None and value is None:
             value = next(tokens, "--")
             if value == "--" or _read_option(value, options) is not None:
                 raise ParseError(f"{prog}: argument {label}: expected one argument")
         try:
-            opts[names[-1].lstrip("-")] = True if convert is None else convert(value)
+            opts[names[-1].lstrip("-")] = True if metavar is None else convert(value)
         except ValueError as exc:
             raise ParseError(f"{prog}: argument {label}: {exc}") from None
-        given.add(names)
-    missing = ["/".join(spec[0]) for spec in specs if spec[3] and spec[0] not in given]
+    if not row:
+        raise ParseError(f"{prog}: the following arguments are required: {dest}")
+    handler, kind, specs = row
+    missing = ["/".join(names) for names, *_ in specs if opts[names[-1].lstrip("-")] is _REQUIRED]
     if missing:
         raise ParseError(f"{prog}: the following arguments are required: {', '.join(missing)}")
     if extras and _OPTION_LIKE.match(extras[0]):
         raise ParseError(f"gdp: unrecognized option {extras[0]!r}")
-    return handler, opts, extras
+    words = [token for token in extras if token != "--"]
+    if kind is None and words:
+        raise ParseError(f"{' '.join(path)} takes no positional operands")
+    if kind and not words:
+        raise ParseError(f"missing {kind} operand")
+    for word in words:
+        if _OPTION_LIKE.match(word):
+            raise ParseError(f"option {word!r} must come before the {kind}")
+    return handler, opts, " ".join(words)
 
 
 def _discard_stdout():
@@ -416,8 +406,8 @@ def _discard_stdout():
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        handler, opts, operands = _parse(argv)
-        code = handler(opts, operands)
+        handler, opts, text = _parse(argv)
+        code = handler(opts, text)
         sys.stdout.flush()
         return code
     except BudgetExceededError as exc:

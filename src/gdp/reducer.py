@@ -19,7 +19,8 @@ per-run maxima and ``width`` for the length, the decision procedure is:
     (:func:`_search`).  Its first-block rule answers a list whose prefix sums
     return to zero before position t with the block {1..q0} up to that
     return, the witness the search would find, without building a table;
-    the table-size guard still comes first.
+    so the table-size guard only refuses a list that the rule does not
+    answer.
 
 Phases: with gamma_i the first step visiting up-run i and delta_j the last
 step visiting down-run j, the i-th up-phase is [gamma_i, gamma_{i+1}) (the
@@ -248,7 +249,10 @@ def _search(entries, runs, alphas, betas):
     A list whose prefix sums return to zero before position t splits off
     its first block {1..q0}: the forward walk would take each of those
     positions, since stopping at q0 completes a part that leaves a position
-    out, and break at q0.  Otherwise a proper nonempty position set splits
+    out, and break at q0.  That rule builds no table, so it runs before the
+    table-size guard: BudgetExceededError, when t * (H + 1) exceeds
+    ``MAX_SEARCH_BITS`` for the largest prefix sum H, refuses only a list
+    that it does not answer.  Otherwise a proper nonempty position set splits
     the list exactly when its running sums s_q satisfy 0 <= s_q <= S_q at
     every q and s_t = 0, where S_q are the list's prefix sums.  Going
     backward, bit s of ``reach_gap[q]`` says that some choice among
@@ -274,15 +278,15 @@ def _search(entries, runs, alphas, betas):
     """
     t = len(entries)
     sums = list(accumulate(entries, initial=0))
+    q0 = sums.index(0, 1)
+    if q0 < t:
+        return _unchecked_decomposition(frozenset(range(1, q0 + 1)))
     height = max(sums)
     if t * (height + 1) > MAX_SEARCH_BITS:
         raise BudgetExceededError(
             f"the search table for width {t} and height {_decimal(height)} exceeds "
             f"{MAX_SEARCH_BITS} bits"
         )
-    q0 = sums.index(0, 1)
-    if q0 < t:
-        return _unchecked_decomposition(frozenset(range(1, q0 + 1)))
     reach_gap = [0] * (t + 1)
     gap = 0
     for q in range(t, 1, -1):
@@ -365,7 +369,8 @@ def reduce(xs: SignedList) -> ReduceOutcome:
     :func:`_check_certificate`.  The cost > width regime has no structural
     criterion and is settled by a search in O(t * H) time and bits, for
     width t and largest prefix sum H; BudgetExceededError is raised, before
-    the table is built, when t * (H + 1) exceeds ``MAX_SEARCH_BITS``.
+    the table is built, when t * (H + 1) exceeds ``MAX_SEARCH_BITS`` and the
+    prefix sums do not return to zero before position t.
     """
     require_catalan(xs)
     outcome = _decide(xs.entries)

@@ -10,7 +10,6 @@ try:
 except ImportError:  # fall back to the source tree for uninstalled runs
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from gdp.catalan import SignedList
 from gdp.kostka import KostkaPair, Partition, conjugate
 
 EX12 = (5, 5, 4, 4, -3, -3, -3, -3, -3, -1, 5, 5, 5, 3, -4, -4, -4, -4, -4)
@@ -25,11 +24,6 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
-
-
-@pytest.fixture
-def ex12() -> SignedList:
-    return SignedList(EX12)
 
 
 @pytest.fixture

@@ -148,8 +148,24 @@ def test_import_loads_no_argparse_or_json():
     assert "argparse" not in loaded and "json" not in loaded
 
 
+def test_pins_cover_the_command_table():
+    # Every command path of the table, and every name of each of its
+    # options, given on its own or with '=', is in some row.
+    for path, (_, _, specs) in cli._COMMANDS.items():
+        rows = [argv for argv in PIN_BY_ARGV if argv[:len(path)] == path]
+        assert rows, path
+        given = {token.partition("=")[0] for argv in rows for token in argv}
+        for names, *_ in specs:
+            assert given.issuperset(names), (path, names)
+
+
+def test_help_under_optimize():
+    # python -OO strips docstrings; the help is built from the table.
+    check_pin(PIN_BY_ARGV[("--help",)], *run_python(["-OO", "-m", "gdp", "--help"]))
+
+
 def test_help_for_every_command(capsys):
-    # Each command of the table has its line in the docstring's grammar.
+    # Each command of the table has its usage line.
     for path in cli._COMMANDS:
         code, out, err = run(capsys, *path, "--help")
         assert (code, err) == (0, "")

@@ -482,7 +482,8 @@ class TestCommonReduce:
 
     def test_certificates_are_checked(self, monkeypatch):
         # Forged certificates from a patched decider: certificates for pairs
-        # with lambda_1 >= length(mu) that are not coprime rectangles, and
+        # with lambda_1 >= length(mu) that are not coprime rectangles (4,1,1
+        # / 2,2,1,1 at lambda_1 = length(mu), column vector 1,1,-1,-1), and
         # "coprime" ones whose grounds do not hold in the column vector:
         # (1, 1, -1, -1) for 4 / 2,2, and (3, -1, -2) for 3,3 / 2,1,1,1,1,
         # where lambda_1 < length(mu) and only those grounds are checked.
@@ -491,6 +492,7 @@ class TestCommonReduce:
             ((4,), (2, 2), Irreducible(1, 1, "coprime")),
             ((4,), (2, 2), Irreducible(1, 1, "search")),
             ((5, 1), (2, 2, 2), Irreducible(1, 1, "search")),
+            ((4, 1, 1), (2, 2, 1, 1), Irreducible(1, 1, "search")),
             ((3, 3), (2, 1, 1, 1, 1), Irreducible(3, 2, "coprime")),
         ):
             kp = KostkaPair(Partition(lam), Partition(mu))
