@@ -236,42 +236,49 @@ def require_catalan(xs: SignedList) -> None:
 
 
 def _runs(entries):
-    """Runs (sign, first, last) of a nonempty list, with 1-based inclusive
-    bounds, and the up-run maxima and negated down-run minima, as lists.
+    """Run ends of a nonempty list, and its up-run maxima and negated
+    down-run minima, as lists.  ``ends`` holds the last 1-based position of
+    each run, so run r covers ``ends[r - 1] + 1 .. ends[r]`` (from 1 for the
+    first); the runs alternate in sign from that of ``entries[0]``.
 
-    One pass tracks the sign of the current run; each run's extreme comes
-    from a slice when the run ends.
+    One pass holds the current run's extreme in ``m``, whose sign is the
+    run's; an end and an extreme are appended only when the sign changes.
     """
-    runs, alphas, betas = [], [], []
-    first, up = 0, entries[0] > 0
+    ends, alphas, betas = [], [], []
+    m = entries[0]
     for q, e in enumerate(entries):
         if e > 0:
-            if up:
+            if m > 0:
+                if e > m:
+                    m = e
                 continue
-            runs.append((-1, first + 1, q))
-            betas.append(-min(entries[first:q]))
-            up = True
+            ends.append(q)
+            betas.append(-m)
         else:
-            if not up:
+            if m < 0:
+                if e < m:
+                    m = e
                 continue
-            runs.append((1, first + 1, q))
-            alphas.append(max(entries[first:q]))
-            up = False
-        first = q
-    if up:
-        runs.append((1, first + 1, len(entries)))
-        alphas.append(max(entries[first:]))
+            ends.append(q)
+            alphas.append(m)
+        m = e
+    ends.append(len(entries))
+    if m > 0:
+        alphas.append(m)
     else:
-        runs.append((-1, first + 1, len(entries)))
-        betas.append(-min(entries[first:]))
-    return runs, alphas, betas
+        betas.append(-m)
+    return ends, alphas, betas
 
 
 def run_profile(xs: SignedList) -> RunProfile:
     entries = xs.entries
     if not entries:
         raise ValueError("run profile of an empty list")
-    runs, alphas, betas = _runs(entries)
+    ends, alphas, betas = _runs(entries)
+    runs, first, sign = [], 1, 1 if entries[0] > 0 else -1
+    for last in ends:
+        runs.append((sign, first, last))
+        first, sign = last + 1, -sign
     return RunProfile(
         tuple(runs), len(runs) // 2, tuple(alphas), tuple(betas), sum(alphas) + sum(betas)
     )

@@ -33,8 +33,8 @@ read the phases off the finished greedy walk one at a time, and stop at the
 first that settles the pigeonhole (:func:`_phase_window`).
 
 One private core, :func:`_decide`, runs the run kernel ``catalan._runs``
-once, names the regime and passes the entries, runs and run maxima to that
-regime's private path, which walks ``staircase._greedy_order`` or, for a
+once, names the regime and passes the entries, run ends and run maxima to
+that regime's private path, which walks ``staircase._greedy_order`` or, for a
 single peak, its own values; so no decider builds a record but its
 outcome, and a decomposition is built from the decider's own frozenset of
 positions with no copy (``catalan._unchecked_decomposition``).
@@ -111,17 +111,20 @@ def _lex_least_equal_pair(keyed):
     return best
 
 
-def _phase_window(order, runs, alphas, betas):
+def _phase_window(order, ends, alphas, betas):
     """The window that :func:`_phase_split` pigeonholes, read off the
-    visiting order of ``staircase._greedy_order`` given the list's runs and
-    run maxima: the first up-phase with u_i > alpha_i; else the first
-    down-phase with d_j > beta_j; else the first up-phase from step 0.
+    visiting order of ``staircase._greedy_order`` given the list's run ends
+    (``catalan._runs``) and run maxima: the first up-phase with
+    u_i > alpha_i; else the first down-phase with d_j > beta_j; else the
+    first up-phase from step 0.
 
     It is ``(lo, hi, side)``: step h of lo..hi counts when the walk's
     running sums have ``sums[h] < sums[h + side]``, that is when step h is
     negative (side -1) or step h + 1 positive (side 1); step 0 always
     counts.
 
+    Up-run i (from 0) covers positions ``ends[2i-1]+1 .. ends[2i]`` (from
+    1 for the first) and down-run j covers ``ends[2j]+1 .. ends[2j+1]``.
     gamma_i, the first step visiting up-run i, is the step of the run's
     first position, and delta_j, the last step visiting down-run j, that of
     the run's last position: the greedy reordering keeps positives in order
@@ -133,25 +136,26 @@ def _phase_window(order, runs, alphas, betas):
     t, y = len(order), len(alphas)
     # ``order.index`` finds gamma_{i+1} - 1 and delta_j - 1, each resuming
     # at the previous bound: O(t) for all phases of one side.
-    lo = 1  # gamma_1: step 1 visits position 1
+    lo, before = 1, 0  # gamma_1: step 1 visits position 1
     for i, alpha in enumerate(alphas):
-        _, a, b = runs[2 * i]
-        hi = order.index(runs[2 * i + 2][1], lo) if i + 1 < y else t
-        if hi - lo - (b - a) > alpha:
+        down_end = ends[2 * i + 1]  # up-run i + 1 starts after it
+        hi = order.index(down_end + 1, lo) if i + 1 < y else t
+        if hi - lo + 1 - (ends[2 * i] - before) > alpha:
             return lo, hi, -1
         if not i:
             first_hi = hi
-        lo = hi + 1
+        lo, before = hi + 1, down_end
     lo = 0
-    for (_, a, b), beta in zip(runs[1::2], betas):
-        hi = order.index(b, lo)
-        if hi - lo - (b - a) > beta:
+    for j, beta in enumerate(betas):
+        last = ends[2 * j + 1]
+        hi = order.index(last, lo)
+        if hi - lo + 1 - (last - ends[2 * j]) > beta:
             return lo, hi, 1
         lo = hi + 1
     return 0, first_hi, -1
 
 
-def _phase_split(entries, runs, alphas, betas):
+def _phase_split(entries, ends, alphas, betas):
     """Witness for cost < width, where the counting identity forces an
     overfull phase, or for cost = width with more than one peak.
 
@@ -168,7 +172,7 @@ def _phase_split(entries, runs, alphas, betas):
     Steps h1+1..h2 of the least pair (h1, h2) carry the part.
     """
     order, sums = _greedy_order(entries)
-    lo, hi, side = _phase_window(order, runs, alphas, betas)
+    lo, hi, side = _phase_window(order, ends, alphas, betas)
     keyed = [(h, sums[h]) for h in range(lo, hi + 1)
              if sums[h] < sums[h + side] or not h]
     h1, h2 = _lex_least_equal_pair(keyed)
@@ -210,7 +214,7 @@ def _leftmost_positions(entries, values):
     return frozenset(part)
 
 
-def _single_peak(entries, runs, alphas, betas):
+def _single_peak(entries, ends, alphas, betas):
     """Witness or certificate for cost = width with one peak.
 
     Any sublist of a single-peak list keeps all positives before all
@@ -218,7 +222,7 @@ def _single_peak(entries, runs, alphas, betas):
     decompositions are therefore value multisets and position choices inside
     each run are free (leftmost occurrences are used).
     """
-    k = runs[0][2]  # the up-run is positions 1..k, the down-run the rest
+    k = ends[0]  # the up-run's end: it is positions 1..k, the down-run the rest
     ups, downs = entries[:k], entries[k:]
     alpha, beta = alphas[0], betas[0]
 
@@ -241,7 +245,7 @@ def _single_peak(entries, runs, alphas, betas):
     return _unchecked_decomposition(_leftmost_positions(entries, values))
 
 
-def _search(entries, runs, alphas, betas):
+def _search(entries, ends, alphas, betas):
     """Lexicographically least decomposition of a list, or a certificate
     that there is none; the same witness as ``oracle.reducible_bruteforce``.
     The first-run maxima go into the certificate.
@@ -318,7 +322,7 @@ def _decide(entries):
     nonempty generalized Catalan list.  The one place that names the regime:
     cost < width; cost = width with several peaks (up-runs); cost = width
     with one peak; or cost > width."""
-    runs, alphas, betas = _runs(entries)
+    ends, alphas, betas = _runs(entries)
     c, w = sum(alphas) + sum(betas), len(entries)
     if c < w:
         path = _phase_split
@@ -328,7 +332,7 @@ def _decide(entries):
         path = _phase_split
     else:
         path = _single_peak
-    return path(entries, runs, alphas, betas)
+    return path(entries, ends, alphas, betas)
 
 
 def _check_certificate(entries, cert: Irreducible, subject, of: str = "") -> Irreducible:

@@ -8,6 +8,7 @@ from gdp.catalan import (
     Decomposition,
     ParseError,
     SignedList,
+    _runs,
     _splits,
     _unchecked_decomposition,
     complement,
@@ -167,6 +168,48 @@ class TestRunProfile:
             prof = run_profile(xs)
             assert len(prof.runs) == 2 * prof.y
             assert prof.runs[0][0] > 0
+
+
+class TestRunKernel:
+    """``_runs``, the run kernel of ``run_profile`` and of every decider,
+    against :func:`definitional_runs`: each run's last position, and the
+    up-run and down-run maxima."""
+
+    @staticmethod
+    def expected(entries):
+        runs, _, alphas, betas, _ = definitional_runs(entries)
+        return [last for _, _, last in runs], list(alphas), list(betas)
+
+    def test_pinned_lists(self):
+        assert _runs((2, 1, -1, -1, -1, 3, -2, -1)) == ([2, 5, 6, 8], [2, 3], [1, 2])
+        assert _runs((-1, 2)) == ([1, 2], [2], [1])
+
+    def test_matches_definition_on_corpus(self):
+        for rows in catalan_corpus(8).values():
+            for row in rows:
+                entries = tuple(map(int, row))
+                assert _runs(entries) == self.expected(entries), entries
+
+    def test_matches_definition_on_every_short_list(self):
+        # Every nonzero list of width <= 5 over [-3, 3], half of them
+        # starting negative.
+        values = (-3, -2, -1, 1, 2, 3)
+        for t in range(1, 6):
+            for entries in itertools.product(values, repeat=t):
+                assert _runs(entries) == self.expected(entries), entries
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            (2**64,),
+            (-(2**64) - 1,),
+            (2**64, 2**64 + 1, -(2**65), -1),
+            (-(2**70), 3, 2**64 + 7, 2**64 + 6, -5, -(2**64) - 9, 10**30),
+            (1, -(2**64), 2**64, -1),
+        ],
+    )
+    def test_matches_definition_past_64_bits(self, entries):
+        assert _runs(entries) == self.expected(entries)
 
 
 class TestCostWidth:

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import os
 import random
 import subprocess
@@ -16,6 +17,7 @@ from gdp.catalan import (
     BudgetExceededError,
     Decomposition,
     SignedList,
+    _runs,
     _unchecked_decomposition,
     cost,
     is_generalized_catalan,
@@ -23,7 +25,7 @@ from gdp.catalan import (
     run_profile,
     width,
 )
-from gdp.kostka import column_vector
+from gdp.kostka import ColumnSplit, KostkaIrreducible, column_vector, common_reduce
 from gdp.oracle import reducible_bruteforce
 from gdp.reducer import (
     Irreducible,
@@ -563,8 +565,8 @@ def test_deciders_build_no_records(monkeypatch):
     # set as it does without them, and the width <= 8 corpus.  Before that,
     # on every phase-split list of the corpus and of 2,000 random lists of
     # width <= 40, the decider's walk is build_pi's, and the window that
-    # _phase_window reads at the run endpoints is the first overfull phase
-    # by the definitions.
+    # _phase_window reads at the kernel's run ends is the first overfull
+    # phase by the definitions.
     single_peak = [SignedList(e) for e in single_peak_equality_lists()]
     corpus = [
         SignedList(tuple(map(int, row)))
@@ -577,7 +579,7 @@ def test_deciders_build_no_records(monkeypatch):
         order, sums = _greedy_order(xs.entries)
         assert tuple(order) == p.one_line, xs
         assert tuple(sums) == (0,) + p.running_sums, xs
-        window = _phase_window(order, prof.runs, prof.alphas, prof.betas)
+        window = _phase_window(order, _runs(xs.entries)[0], prof.alphas, prof.betas)
         assert window == reference_window(p, prof), xs
 
     answers = [reduce(xs) for xs in single_peak]
@@ -704,3 +706,74 @@ def test_no_verdict_rests_on_an_assert():
             ):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+def answer_text(outcome):
+    """One line per answer, from its fields: the sorted positions or
+    columns of a split; else the certificate's fields and basis, a
+    rectangle as rows x columns."""
+    match outcome:
+        case Decomposition(part) | ColumnSplit(part, _):
+            return "split " + ",".join(map(str, sorted(part)))
+        case Irreducible(alpha1, beta1, basis):
+            return f"irreducible {alpha1} {beta1} {basis}"
+        case KostkaIrreducible(alpha1, beta1, lam_rect, mu_rect, basis):
+            rects = ["x".join(map(str, rect)) if rect else "-" for rect in (lam_rect, mu_rect)]
+            return f"irreducible {alpha1} {beta1} {rects[0]} {rects[1]} {basis}"
+    raise TypeError(f"not an answer: {outcome!r}")
+
+
+# The SHA-256 of the answers, taken at commit dadb41d, over reduce on the
+# width <= 8 corpus (20,665 lists) and common_reduce on every dominance pair
+# of size <= 12 in <= 4 rows (1,521 pairs), one line per answer.
+ANSWER_DIGEST = "b3fb529cd8914d4ed27b2b0f3f5f567ea99fecd58dbe804ef8af8731a1d90189"
+
+
+def test_answers_match_the_pinned_digest():
+    answers = [
+        reduce(SignedList(tuple(map(int, row))))
+        for rows in catalan_corpus(8).values() for row in rows
+    ]
+    answers += map(common_reduce, dominance_pairs(12, 4))
+    assert len(answers) == 22186
+    digest = hashlib.sha256()
+    for outcome in answers:
+        digest.update(answer_text(outcome).encode() + b"\n")
+    assert digest.hexdigest() == ANSWER_DIGEST
+
+
+WIDE = 1 << 17
+HALF, QUARTER = WIDE // 2, WIDE // 4
+
+
+@pytest.mark.parametrize(
+    "kind,build",
+    [
+        ("phase split", lambda: random_catalan(WIDE, random.Random(17), -1, 1)),
+        ("phase split", lambda: (1, -1) * HALF),
+        ("single peak", lambda: (HALF,) * HALF + (-HALF,) * HALF),  # gcd HALF
+        ("single peak", lambda: (HALF + 1,) * (HALF - 1) + (-HALF + 1,) * (HALF + 1)),
+        (
+            "single peak",  # the sorted up-run walk
+            lambda: (1,) * QUARTER + (HALF,) * QUARTER + (-HALF,) * QUARTER
+            + (-1,) * QUARTER,
+        ),
+        ("search", lambda: (300,) + (3, -3) * (HALF - 1) + (-300,)),  # 304 x 2^17 bits
+    ],
+    ids=["random walk", "many peaks", "gcd", "coprime", "sorted up-run", "search"],
+)
+def test_wide_list_per_regime(kind, build):
+    # One reduce per regime at width 2^17: the answer is checked, not the
+    # time.  Only the coprime list is irreducible.
+    xs = SignedList(build())
+    assert len(xs) == WIDE
+    if is_phase_split(xs):
+        assert kind == "phase split"
+    else:
+        assert kind == ("single peak" if cost(xs) == WIDE else "search")
+    out = reduce(xs)
+    if xs.entries[0] == HALF + 1:
+        assert out == Irreducible(HALF + 1, HALF - 1, "coprime")
+    else:
+        assert isinstance(out, Decomposition), out
+        assert is_valid_decomposition(xs, out.part)
